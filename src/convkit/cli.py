@@ -15,6 +15,7 @@ error, 3 gradient-check failure. A failing run writes no output files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -78,6 +79,8 @@ class RunConfig:
             v = float(raw)
         except ValueError:
             raise ConfigError(f"config key '{key}' must be a number, got {raw!r}") from None
+        if not math.isfinite(v):
+            raise ConfigError(f"config key '{key}' must be finite, got {raw!r}")
         if nonnegative and v < 0:
             raise ConfigError(f"config key '{key}' must be >= 0, got {v}")
         return v
@@ -142,9 +145,12 @@ def _load_dataset(cfg: RunConfig, class_count: int) -> Dataset:
             raise ConfigError("data.source idx needs 'idx:<images>,<labels>'")
         img_path, lbl_path = parts[0].strip(), parts[1].strip()
         try:
-            return dataset_from_idx(img_path, lbl_path, class_count)
+            data = dataset_from_idx(img_path, lbl_path, class_count)
         except OSError as e:
             raise ParseError(f"cannot read IDX data: {e}") from e
+        if not data.images:
+            raise ParseError(f"IDX data {img_path} holds no samples")
+        return data
     raise ConfigError(f"data.source {source!r} must start with 'idx:' or 'bars:'")
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import network as net_mod
 from .activations import ActivationKind
 from .errors import DomainError
-from .losses import loss
+from .losses import LossKind, loss
 
 REL_ERR_FLOOR = 1e-8
 # A central difference of a loss near 1.0 at h ~ 1e-5 carries roundoff
@@ -127,10 +127,12 @@ def check_network(
     threshold: float = 1e-6,
     h_rel: float = 1e-5,
 ) -> GradReport:
-    """Compare backward() against central differences for every parameter.
+    """Compare backward() against central differences of the cross-entropy
+    loss for every parameter.
 
-    Parameters are perturbed by h = h_rel * max(1, |theta|) and restored
-    exactly afterwards; the report carries one row per parameter group.
+    Each entry of ``net.params`` is perturbed by h = h_rel * max(1, |theta|)
+    and restored exactly afterwards; the report carries one row per
+    ``param_groups`` entry.
     Not safe to run concurrently on one network instance.
     """
     if not 0 < h_rel <= 1e-3:
@@ -139,43 +141,36 @@ def check_network(
 
     def run() -> tuple[float, tuple[np.ndarray, ...]]:
         yhat, traces = net_mod.forward(net, image)
-        value = loss(net.loss_kind, yhat, label)
+        value = loss(LossKind.CROSS_ENTROPY, yhat, label)
         if not np.isfinite(value):
             raise DomainError("loss is not finite")
         return value, _decision_pattern(net, traces)
 
     _, traces = net_mod.forward(net, image)
     analytic = net_mod.backward(net, traces, label)
-
-    param_groups: list[tuple[str, np.ndarray, np.ndarray]] = [
-        ("conv.kernels", net.bank.kernels, analytic.kernels),
-        ("conv.biases", net.bank.biases, analytic.conv_biases),
-    ]
-    for i, layer in enumerate(net.dense):
-        param_groups.append((f"dense[{i}].W", layer.weights, analytic.dense_w[i]))
-        param_groups.append((f"dense[{i}].b", layer.biases, analytic.dense_b[i]))
+    params = net.params
 
     results = []
-    for name, params, grads in param_groups:
+    for name, group, shape in net_mod.param_groups(net):
         errors: list[float] = []
         coords: list[tuple[int, ...]] = []
         n_excluded = 0
-        for idx in range(params.size):
-            theta = params.flat[idx]
+        for idx in range(group.start, group.stop):
+            theta = params[idx]
             h = h_rel * max(1.0, abs(theta))
             try:
-                params.flat[idx] = theta + h
+                params[idx] = theta + h
                 loss_hi, pat_hi = run()
-                params.flat[idx] = theta - h
+                params[idx] = theta - h
                 loss_lo, pat_lo = run()
             finally:
-                params.flat[idx] = theta
+                params[idx] = theta
             if not _patterns_equal(pat_hi, pat_lo):
                 n_excluded += 1
                 continue
             numeric = (loss_hi - loss_lo) / (2.0 * h)
-            errors.append(relative_error(grads.flat[idx], numeric))
-            coords.append(tuple(int(i) for i in np.unravel_index(idx, params.shape)))
+            errors.append(relative_error(analytic[idx], numeric))
+            coords.append(tuple(int(i) for i in np.unravel_index(idx - group.start, shape)))
         max_err = max(errors) if errors else 0.0
         mean_err = sum(errors) / len(errors) if errors else 0.0
         argmax = coords[errors.index(max_err)] if errors else ()

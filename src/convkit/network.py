@@ -9,8 +9,9 @@ byte of every artifact a run produces.
 from __future__ import annotations
 
 import io
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import BinaryIO, NamedTuple
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import tensor
 from .activations import ActivationKind, apply, derivative
 from .dataio import Dataset
-from .errors import DomainError, ParseError, ShapeError, TruncationError
+from .errors import DomainError, ParseError, ShapeError, TruncationError, UnsupportedError
 from .layers import (
     ConvGeometry,
     DenseLayer,
@@ -56,13 +57,20 @@ class Architecture:
 
 @dataclass
 class Network:
-    """Parameters and topology: conv -> pool -> flatten -> dense stack."""
+    """Parameters and topology: conv -> pool -> flatten -> dense stack.
+
+    All parameters live in one float64 vector, ``params``, laid out as
+    ``param_groups`` says. Construction copies the given bank and dense
+    layers and gathers their arrays into a new ``params``; the network's
+    own bank and layers then hold views into it, so in-place writes to
+    them write ``params``.
+    """
 
     bank: KernelBank
     conv_activation: ActivationKind
     pool: PoolGeometry
     dense: list[DenseLayer]
-    loss_kind: LossKind = LossKind.CROSS_ENTROPY
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.dense:
@@ -77,20 +85,36 @@ class Network:
                     f"dense[{i}] expects {layer.n_in} inputs, chain provides {n_in}"
                 )
             n_in = layer.n_out
+        self.bank = replace(self.bank)
+        self.dense = [replace(layer) for layer in self.dense]
+        slots = _slots(self)
+        self.params = np.concatenate([getattr(o, a).ravel() for _, o, a in slots])
+        for (_, owner, attr), (_, sl, shape) in zip(slots, param_groups(self)):
+            setattr(owner, attr, self.params[sl].reshape(shape))
 
     @property
     def class_count(self) -> int:
         return self.dense[-1].n_out
 
 
-@dataclass
-class GradientSet:
-    """Loss gradients mirroring every parameter of a Network."""
+def _slots(net: Network) -> list[tuple[str, object, str]]:
+    """(group name, owner, attribute) of each parameter array, in model-file
+    order: kernels, conv biases, then W and b of each dense layer."""
+    slots = [("conv.kernels", net.bank, "kernels"), ("conv.biases", net.bank, "biases")]
+    for i, layer in enumerate(net.dense):
+        slots += [(f"dense[{i}].W", layer, "weights"), (f"dense[{i}].b", layer, "biases")]
+    return slots
 
-    kernels: np.ndarray
-    conv_biases: np.ndarray
-    dense_w: list[np.ndarray]
-    dense_b: list[np.ndarray]
+
+def param_groups(net: Network) -> list[tuple[str, slice, tuple[int, ...]]]:
+    """(name, slice of ``net.params``, shape) of each parameter group, in
+    model-file order."""
+    groups, start = [], 0
+    for name, owner, attr in _slots(net):
+        shape = getattr(owner, attr).shape
+        groups.append((name, slice(start, start + math.prod(shape)), shape))
+        start += math.prod(shape)
+    return groups
 
 
 @dataclass(frozen=True)
@@ -102,8 +126,10 @@ class TrainConfig:
 
     def __post_init__(self):
         # 0 is a lawful no-op that leaves the network untouched.
-        if self.learning_rate < 0:
-            raise DomainError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise DomainError(
+                f"learning rate must be finite and >= 0, got {self.learning_rate}"
+            )
         if self.epochs < 1 or self.batch_size < 1:
             raise DomainError("epochs and batch_size must be >= 1")
         if not 0 <= self.rng_seed < 1 << 64:
@@ -161,9 +187,9 @@ def forward(net: Network, image: np.ndarray) -> tuple[np.ndarray, list[ForwardTr
     return a, traces
 
 
-def backward(net: Network, traces: list[ForwardTrace], y: np.ndarray) -> GradientSet:
+def backward(net: Network, traces: list[ForwardTrace], y: np.ndarray) -> np.ndarray:
     """Gradient of the cross-entropy loss for one sample, using the traces
-    the matching forward call produced."""
+    the matching forward call produced, laid out like ``net.params``."""
     y = np.asarray(y, dtype=np.float64)
     if len(traces) != 2 + len(net.dense):
         raise ShapeError(f"expected {2 + len(net.dense)} traces, got {len(traces)}")
@@ -173,82 +199,41 @@ def backward(net: Network, traces: list[ForwardTrace], y: np.ndarray) -> Gradien
     final = traces[-1]
     yhat = apply(net.dense[-1].activation, final.preact)
     grad = ce_grad(yhat, y)
-    dense_w: list[np.ndarray] = []
-    dense_b: list[np.ndarray] = []
+    dense_grads: list[np.ndarray] = []
     for layer, trace in zip(reversed(net.dense), reversed(traces[2:])):
         gw, gb, grad = dense_backward(grad, layer, trace)
-        dense_w.append(gw)
-        dense_b.append(gb)
-    dense_w.reverse()
-    dense_b.reverse()
+        dense_grads[:0] = [gw.ravel(), gb]
     pooled_shape = pool_trace.argmax_rows.shape
     grad_act = maxpool_backward(tensor.unflatten(grad, pooled_shape), pool_trace)
     grad_preact = grad_act * derivative(net.conv_activation, conv_trace.preact)
     gk, gcb = conv_backward(grad_preact, conv_trace.input, net.bank)
-    return GradientSet(kernels=gk, conv_biases=gcb, dense_w=dense_w, dense_b=dense_b)
+    return np.concatenate([gk.ravel(), gcb, *dense_grads])
 
 
-def _check_mirror(net: Network, grads: GradientSet) -> None:
-    if grads.kernels.shape != net.bank.kernels.shape:
-        raise ShapeError("kernel gradient shape does not mirror the network")
-    if grads.conv_biases.shape != net.bank.biases.shape:
-        raise ShapeError("conv bias gradient shape does not mirror the network")
-    if len(grads.dense_w) != len(net.dense) or len(grads.dense_b) != len(net.dense):
-        raise ShapeError("dense gradient count does not mirror the network")
-    for layer, gw, gb in zip(net.dense, grads.dense_w, grads.dense_b):
-        if gw.shape != layer.weights.shape or gb.shape != layer.biases.shape:
-            raise ShapeError("dense gradient shape does not mirror the network")
-
-
-def sgd_step(net: Network, grads: GradientSet, alpha: float) -> Network:
-    """One plain gradient-descent update: theta <- theta - alpha * grad."""
+def sgd_step(net: Network, grads: np.ndarray, alpha: float) -> Network:
+    """One plain gradient-descent update, theta <- theta - alpha * grad, into
+    a new network; ``net`` is left untouched."""
     if alpha <= 0:
         raise DomainError(f"learning rate must be > 0, got {alpha}")
-    _check_mirror(net, grads)
-    bank = KernelBank(
-        kernels=net.bank.kernels - alpha * grads.kernels,
-        biases=net.bank.biases - alpha * grads.conv_biases,
-        geometry=net.bank.geometry,
-    )
-    dense = [
-        DenseLayer(
-            weights=layer.weights - alpha * gw,
-            biases=layer.biases - alpha * gb,
-            activation=layer.activation,
-        )
-        for layer, gw, gb in zip(net.dense, grads.dense_w, grads.dense_b)
-    ]
-    return Network(
-        bank=bank,
-        conv_activation=net.conv_activation,
-        pool=net.pool,
-        dense=dense,
-        loss_kind=net.loss_kind,
-    )
+    grads = np.asarray(grads, dtype=np.float64)
+    if grads.shape != net.params.shape:
+        raise ShapeError(f"gradient shape {grads.shape} != params {net.params.shape}")
+    stepped = replace(net)
+    stepped.params -= alpha * grads
+    return stepped
 
 
-def _mean_grads(batch: list[GradientSet]) -> GradientSet:
-    n = len(batch)
-    acc = GradientSet(
-        kernels=np.zeros_like(batch[0].kernels),
-        conv_biases=np.zeros_like(batch[0].conv_biases),
-        dense_w=[np.zeros_like(g) for g in batch[0].dense_w],
-        dense_b=[np.zeros_like(g) for g in batch[0].dense_b],
-    )
-    for gs in batch:
-        acc.kernels += gs.kernels
-        acc.conv_biases += gs.conv_biases
-        for a, g in zip(acc.dense_w, gs.dense_w):
-            a += g
-        for a, g in zip(acc.dense_b, gs.dense_b):
-            a += g
-    acc.kernels /= n
-    acc.conv_biases /= n
-    for a in acc.dense_w:
-        a /= n
-    for a in acc.dense_b:
-        a /= n
-    return acc
+def _mean_grads(batch: list[np.ndarray]) -> np.ndarray:
+    # A sequential sum in sample order: np.sum's pairwise order changes bits.
+    acc = np.zeros_like(batch[0])
+    for g in batch:
+        acc += g
+    return acc / len(batch)
+
+
+def _first_nonfinite_group(net: Network) -> str:
+    bad = int(np.flatnonzero(~np.isfinite(net.params))[0])
+    return next(name for name, sl, _ in param_groups(net) if sl.start <= bad < sl.stop)
 
 
 def train(
@@ -278,21 +263,26 @@ def train(
                     _, traces = forward(net, data.images[i])
                     grads.append(backward(net, traces, data.labels[i]))
                 net = sgd_step(net, _mean_grads(grads), cfg.learning_rate)
+                if not np.isfinite(net.params).all():
+                    raise DomainError(
+                        f"epoch {epoch + 1}: parameter group "
+                        f"{_first_nonfinite_group(net)} went non-finite"
+                    )
         mean_loss, accuracy = evaluate(net, data)
         history.append(EpochStats(epoch + 1, mean_loss, accuracy))
     return net, history
 
 
 def evaluate(net: Network, data: Dataset) -> tuple[float, float]:
-    """Mean loss and argmax accuracy over a dataset (ties go to the lowest
-    class index)."""
+    """Mean cross-entropy loss and argmax accuracy over a dataset (ties go to
+    the lowest class index)."""
     if len(data.images) == 0:
         raise DomainError("cannot evaluate an empty dataset")
     total = 0.0
     correct = 0
     for image, label in zip(data.images, data.labels):
         yhat, _ = forward(net, image)
-        total += loss(net.loss_kind, yhat, label)
+        total += loss(LossKind.CROSS_ENTROPY, yhat, label)
         if int(np.argmax(yhat)) == int(np.argmax(label)):
             correct += 1
     n = len(data.images)
@@ -309,14 +299,20 @@ def evaluate(net: Network, data: Dataset) -> tuple[float, float]:
 #   u32 x2  pool geometry: window, stride
 #   u32     dense layer count
 #   per dense layer: u32 n_in, u32 n_out, u8 activation tag
-#   f64[]   conv kernels, filter-major (kernel, channel, row, col)
-#   f64[]   conv biases
-#   per dense layer: f64[] weights row-major, then f64[] biases
+#   f64[]   Network.params, in param_groups order:
+#           conv kernels, filter-major (kernel, channel, row, col),
+#           conv biases,
+#           per dense layer: weights row-major, then biases
 
 
 def save(net: Network, sink: str | BinaryIO) -> None:
     """Write the network to a path or binary stream; load() restores it
-    bit-for-bit."""
+    bit-for-bit. The format has no conv activation field (load() reads
+    ReLU), so any other conv activation is refused."""
+    if net.conv_activation != ActivationKind.RELU:
+        raise UnsupportedError(
+            f"the model format stores ReLU conv layers only, got {net.conv_activation.name}"
+        )
     g = net.bank.geometry
     out = io.BytesIO()
     out.write(MODEL_MAGIC)
@@ -330,11 +326,7 @@ def save(net: Network, sink: str | BinaryIO) -> None:
     out.write(struct.pack("<I", len(net.dense)))
     for layer in net.dense:
         out.write(struct.pack("<IIB", layer.n_in, layer.n_out, int(layer.activation)))
-    out.write(np.ascontiguousarray(net.bank.kernels, dtype="<f8").tobytes())
-    out.write(np.ascontiguousarray(net.bank.biases, dtype="<f8").tobytes())
-    for layer in net.dense:
-        out.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-        out.write(np.ascontiguousarray(layer.biases, dtype="<f8").tobytes())
+    out.write(net.params.astype("<f8").tobytes())
     blob = out.getvalue()
     if hasattr(sink, "write"):
         sink.write(blob)

@@ -1,4 +1,7 @@
+import struct
+
 import numpy as np
+import pytest
 
 from convkit import network as nm
 from convkit.activations import ActivationKind
@@ -131,6 +134,33 @@ class TestTrain:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", str(tmp_path / "nope.cfg")]) == 1
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_rejected(self, tmp_path, capsys, alpha):
+        cfg = train_config(tmp_path, drop="train.alpha", extra=f"train.alpha={alpha}")
+        assert main(["train", cfg]) == 1
+        assert "train.alpha" in capsys.readouterr().err
+        assert not (tmp_path / "model-a.cnnf").exists()
+        assert not (tmp_path / "metrics-a.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverging_run_writes_nothing(self, tmp_path, capsys):
+        # the acceptance suite's criterion-7 run with a learning rate that
+        # overflows the parameters
+        path = tmp_path / "diverge.cfg"
+        path.write_text(
+            BASE_KEYS.replace("train.alpha=0.05", "train.alpha=1e200")
+            .replace("train.epochs=3", "train.epochs=4")
+            .replace("train.batch_size=20", "train.batch_size=25")
+            .replace("bars:20,8,8", "bars:50,8,8")
+            + f"out.model={tmp_path / 'model-a.cnnf'}\n"
+            + f"out.csv={tmp_path / 'metrics-a.csv'}\n"
+        )
+        assert main(["train", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "model-a.cnnf").exists()
+        assert not (tmp_path / "metrics-a.csv").exists()
+
 
 class TestEval:
     def test_eval_trained_model(self, tmp_path, capsys):
@@ -238,8 +268,6 @@ def test_module_entry_point(tmp_path):
 
 class TestIdxSource:
     def write_idx_pair(self, tmp_path):
-        import struct
-
         rng = np.random.default_rng(99)
         n, h, w = 12, 8, 8
         img_blob = struct.pack(">IIII", 0x00000803, n, h, w)
@@ -265,6 +293,24 @@ class TestIdxSource:
         capsys.readouterr()
         assert main(["eval", str(tmp_path / "idx.cnnf"), cfg]) == 0
         assert capsys.readouterr().out.startswith("loss=")
+
+    def test_empty_idx_is_data_error(self, tmp_path, capsys):
+        img_path = tmp_path / "empty-imgs.idx"
+        lbl_path = tmp_path / "empty-lbls.idx"
+        img_path.write_bytes(struct.pack(">IIII", 0x00000803, 0, 8, 8))
+        lbl_path.write_bytes(struct.pack(">II", 0x00000801, 0))
+        cfg = write_config(
+            tmp_path, "idx.cfg", drop="data.source",
+            extra=f"data.source=idx:{img_path},{lbl_path}",
+            out_model=str(tmp_path / "m.cnnf"),
+            out_csv=str(tmp_path / "m.csv"),
+        )
+        for argv in (["train", cfg], ["eval", zero_model(tmp_path), cfg],
+                     ["gradcheck", cfg]):
+            assert main(argv) == 2, argv[0]
+            assert "no samples" in capsys.readouterr().err
+        assert not (tmp_path / "m.cnnf").exists()
+        assert not (tmp_path / "m.csv").exists()
 
     def test_missing_idx_file_is_data_error(self, tmp_path, capsys):
         cfg = write_config(

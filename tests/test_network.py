@@ -8,7 +8,13 @@ from convkit import tensor
 from convkit import network as nm
 from convkit.activations import ActivationKind
 from convkit.dataio import Dataset, one_hot, synth_bars
-from convkit.errors import DomainError, ParseError, ShapeError, TruncationError
+from convkit.errors import (
+    DomainError,
+    ParseError,
+    ShapeError,
+    TruncationError,
+    UnsupportedError,
+)
 from convkit.layers import (
     ConvGeometry,
     DenseLayer,
@@ -106,6 +112,60 @@ class TestInit:
             nm.TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, rng_seed=-1)
 
 
+class TestParamGroups:
+    def test_groups_tile_params_in_file_order(self):
+        net = fixture_net(30)
+        groups = nm.param_groups(net)
+        assert [name for name, _, _ in groups] == [
+            "conv.kernels", "conv.biases",
+            "dense[0].W", "dense[0].b", "dense[1].W", "dense[1].b",
+        ]
+        start = 0
+        for _, sl, shape in groups:
+            assert sl.start == start and sl.stop - sl.start == math.prod(shape)
+            start = sl.stop
+        assert start == net.params.size
+        assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
+        arrays = [net.bank.kernels, net.bank.biases]
+        arrays += [a for layer in net.dense for a in (layer.weights, layer.biases)]
+        for (_, sl, shape), array in zip(groups, arrays):
+            assert array.shape == shape
+            assert np.array_equal(net.params[sl], array.ravel())
+
+    def test_layer_arrays_are_views_into_params(self):
+        net = fixture_net(31)
+        w = dict((name, sl) for name, sl, _ in nm.param_groups(net))["dense[0].W"]
+        net.dense[0].weights[1, 2] = 7.5
+        assert net.params[w.start + 1 * net.dense[0].n_in + 2] == 7.5
+        net.params[0] = -3.0
+        assert net.bank.kernels[0, 0, 0, 0] == -3.0
+        net.bank.biases += 1.0
+        assert np.array_equal(net.params[18:20], [1.0, 1.0])
+
+    def test_construction_copies_the_given_layers(self):
+        # a network built from another's bank and layers must not take
+        # over their arrays: each network keeps its arrays tied to its params
+        a = fixture_net(35)
+        before = a.params.copy()
+        b = nm.Network(bank=a.bank, conv_activation=ActivationKind.RELU,
+                       pool=a.pool, dense=a.dense)
+        b.params[:] = 0.0
+        assert np.array_equal(a.params, before)
+        assert np.array_equal(a.bank.kernels.ravel(), before[:18])
+        a.dense[0].weights[0, 0] = 4.0
+        assert a.params[20] == 4.0 and b.params[20] == 0.0
+
+    def test_loaded_network_owns_one_vector(self):
+        net = fixture_net(32)
+        buf = io.BytesIO()
+        nm.save(net, buf)
+        loaded = nm.load(io.BytesIO(buf.getvalue()))
+        assert np.array_equal(loaded.params, net.params)
+        loaded.dense[-1].biases[:] = 9.0
+        assert loaded.params[-1] == 9.0
+        assert net.params[-1] == 0.0
+
+
 class TestForward:
     def test_all_zero_net_outputs_half(self):
         image, _ = random_sample(0)
@@ -153,8 +213,8 @@ class TestBackward:
         yhat, traces = nm.forward(net, image)
         assert np.array_equal(yhat, y)
         grads = nm.backward(net, traces, y)
-        for arr in [grads.kernels, grads.conv_biases, *grads.dense_w, *grads.dense_b]:
-            assert np.max(np.abs(arr)) <= 1e-9
+        assert grads.shape == net.params.shape
+        assert np.max(np.abs(grads)) <= 1e-9
 
     def test_matches_finite_difference_whole_net(self):
         for seed in (11, 12):
@@ -167,29 +227,22 @@ class TestBackward:
                 yhat, _ = nm.forward(net, image)
                 return loss(LossKind.CROSS_ENTROPY, yhat, label)
 
-            checks = [
-                (net.bank.kernels, grads.kernels),
-                (net.bank.biases, grads.conv_biases),
-            ]
-            for i, layer in enumerate(net.dense):
-                checks.append((layer.weights, grads.dense_w[i]))
-                checks.append((layer.biases, grads.dense_b[i]))
-            for params, analytic in checks:
-                for idx in range(params.size):
-                    theta = params.flat[idx]
-                    h = 1e-5 * max(1.0, abs(theta))
-                    params.flat[idx] = theta + h
-                    hi = scalar()
-                    params.flat[idx] = theta - h
-                    lo = scalar()
-                    params.flat[idx] = theta
-                    numeric = (hi - lo) / (2 * h)
-                    a = analytic.flat[idx]
-                    scale = max(abs(a), abs(numeric))
-                    if scale <= 1e-5:
-                        assert abs(a - numeric) <= 1e-9
-                    else:
-                        assert abs(a - numeric) / scale <= 1e-6
+            params = net.params
+            for idx in range(params.size):
+                theta = params[idx]
+                h = 1e-5 * max(1.0, abs(theta))
+                params[idx] = theta + h
+                hi = scalar()
+                params[idx] = theta - h
+                lo = scalar()
+                params[idx] = theta
+                numeric = (hi - lo) / (2 * h)
+                a = grads[idx]
+                scale = max(abs(a), abs(numeric))
+                if scale <= 1e-5:
+                    assert abs(a - numeric) <= 1e-9
+                else:
+                    assert abs(a - numeric) / scale <= 1e-6
 
     def test_matches_finite_difference_random_geometries(self):
         # Random channels, padding, pool overlap, stack depth, and
@@ -254,32 +307,27 @@ class TestBackward:
             net, image, label = random_net()
             _, traces = nm.forward(net, image)
             grads = nm.backward(net, traces, label)
-            checks = [(net.bank.kernels, grads.kernels),
-                      (net.bank.biases, grads.conv_biases)]
-            for i, layer in enumerate(net.dense):
-                checks.append((layer.weights, grads.dense_w[i]))
-                checks.append((layer.biases, grads.dense_b[i]))
-            for params, analytic in checks:
-                for idx in range(params.size):
-                    theta = params.flat[idx]
-                    h = 1e-5 * max(1.0, abs(theta))
-                    params.flat[idx] = theta + h
-                    y1, t1 = nm.forward(net, image)
-                    hi = loss(net.loss_kind, y1, label)
-                    params.flat[idx] = theta - h
-                    y2, t2 = nm.forward(net, image)
-                    lo = loss(net.loss_kind, y2, label)
-                    params.flat[idx] = theta
-                    d1, d2 = decisions(net, t1), decisions(net, t2)
-                    if not all(np.array_equal(a, b) for a, b in zip(d1, d2)):
-                        continue
-                    numeric = (hi - lo) / (2 * h)
-                    a = analytic.flat[idx]
-                    scale = max(abs(a), abs(numeric))
-                    if scale <= 3e-5:
-                        assert abs(a - numeric) <= 1e-9
-                    else:
-                        assert abs(a - numeric) / scale <= 1e-6
+            params = net.params
+            for idx in range(params.size):
+                theta = params[idx]
+                h = 1e-5 * max(1.0, abs(theta))
+                params[idx] = theta + h
+                y1, t1 = nm.forward(net, image)
+                hi = loss(LossKind.CROSS_ENTROPY, y1, label)
+                params[idx] = theta - h
+                y2, t2 = nm.forward(net, image)
+                lo = loss(LossKind.CROSS_ENTROPY, y2, label)
+                params[idx] = theta
+                d1, d2 = decisions(net, t1), decisions(net, t2)
+                if not all(np.array_equal(a, b) for a, b in zip(d1, d2)):
+                    continue
+                numeric = (hi - lo) / (2 * h)
+                a = grads[idx]
+                scale = max(abs(a), abs(numeric))
+                if scale <= 3e-5:
+                    assert abs(a - numeric) <= 1e-9
+                else:
+                    assert abs(a - numeric) / scale <= 1e-6
 
     def test_batch_mean_unchanged_by_duplication(self):
         net = fixture_net(13)
@@ -288,9 +336,8 @@ class TestBackward:
         g = nm.backward(net, traces, label)
         single = nm._mean_grads([g])
         doubled = nm._mean_grads([g, g])
-        assert np.max(np.abs(single.kernels - doubled.kernels)) <= 1e-12
-        for a, b in zip(single.dense_w, doubled.dense_w):
-            assert np.max(np.abs(a - b)) <= 1e-12
+        assert single.shape == net.params.shape
+        assert np.max(np.abs(single - doubled)) <= 1e-12
 
     def test_label_shape_mismatch(self):
         net = fixture_net(14)
@@ -304,23 +351,18 @@ class TestSgdStep:
     def test_update_arithmetic(self):
         net = zero_net()
         net.bank.kernels[:] = 1.0
-        grads = nm.GradientSet(
-            kernels=np.full_like(net.bank.kernels, 2.0),
-            conv_biases=np.zeros(2),
-            dense_w=[np.zeros_like(l.weights) for l in net.dense],
-            dense_b=[np.zeros_like(l.biases) for l in net.dense],
-        )
+        kernels = nm.param_groups(net)[0][1]
+        grads = np.zeros_like(net.params)
+        grads[kernels] = 2.0
         stepped = nm.sgd_step(net, grads, 0.1)
         assert np.allclose(stepped.bank.kernels, 0.8, atol=1e-15)
+        assert not stepped.params[kernels.stop:].any()
+        # the caller's network is left untouched
+        assert np.array_equal(net.bank.kernels, np.ones((2, 1, 3, 3)))
 
     def test_zero_gradient_fixed_point(self):
         net = fixture_net(15)
-        grads = nm.GradientSet(
-            kernels=np.zeros_like(net.bank.kernels),
-            conv_biases=np.zeros_like(net.bank.biases),
-            dense_w=[np.zeros_like(l.weights) for l in net.dense],
-            dense_b=[np.zeros_like(l.biases) for l in net.dense],
-        )
+        grads = np.zeros_like(net.params)
         assert params_equal(nm.sgd_step(net, grads, 0.5), net)
 
     def test_quadratic_surrogate_geometric_decay(self):
@@ -330,27 +372,18 @@ class TestSgdStep:
         c, alpha, steps = 2.0, 0.1, 25
         start = net.bank.kernels.copy()
         for _ in range(steps):
-            grads = nm.GradientSet(
-                kernels=c * net.bank.kernels,
-                conv_biases=c * net.bank.biases,
-                dense_w=[c * l.weights for l in net.dense],
-                dense_b=[c * l.biases for l in net.dense],
-            )
-            net = nm.sgd_step(net, grads, alpha)
+            net = nm.sgd_step(net, c * net.params, alpha)
         expected = start * (1 - alpha * c) ** steps
         assert np.allclose(net.bank.kernels, expected, rtol=1e-12, atol=1e-300)
         assert np.max(np.abs(net.bank.kernels)) < np.max(np.abs(start))
 
     def test_mirror_mismatch_rejected(self):
+        # one kernel's worth of gradient too many, too few, or the wrong rank
         net = fixture_net(17)
-        grads = nm.GradientSet(
-            kernels=np.zeros((3, 1, 3, 3)),
-            conv_biases=np.zeros(2),
-            dense_w=[np.zeros_like(l.weights) for l in net.dense],
-            dense_b=[np.zeros_like(l.biases) for l in net.dense],
-        )
-        with pytest.raises(ShapeError):
-            nm.sgd_step(net, grads, 0.1)
+        n = net.params.size
+        for grads in (np.zeros(n + 9), np.zeros(n - 9), np.zeros((1, n))):
+            with pytest.raises(ShapeError):
+                nm.sgd_step(net, grads, 0.1)
 
     def test_small_step_decreases_batch_loss(self):
         # first-order descent on 20 random fixtures at alpha = 1e-4
@@ -361,7 +394,7 @@ class TestSgdStep:
 
             def batch_loss(n):
                 return sum(
-                    loss(n.loss_kind, nm.forward(n, img)[0], lab)
+                    loss(LossKind.CROSS_ENTROPY, nm.forward(n, img)[0], lab)
                     for img, lab in batch
                 ) / len(batch)
 
@@ -369,11 +402,7 @@ class TestSgdStep:
                 nm.backward(net, nm.forward(net, img)[1], lab)
                 for img, lab in batch
             ])
-            norm = math.sqrt(sum(
-                float(np.sum(g * g))
-                for g in [grads.kernels, grads.conv_biases,
-                          *grads.dense_w, *grads.dense_b]
-            ))
+            norm = math.sqrt(float(np.sum(grads * grads)))
             if norm <= 1e-8:
                 continue
             stepped = nm.sgd_step(net, grads, 1e-4)
@@ -410,6 +439,19 @@ class TestTrain:
         with pytest.raises(DomainError):
             nm.train(fixture_net(20), data, cfg)
 
+    def test_non_finite_learning_rate_rejected(self):
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                nm.TrainConfig(learning_rate=alpha, epochs=1, batch_size=1, rng_seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverging_run_names_epoch_and_group(self):
+        data = synth_bars(8, 8, 8, seed=1)
+        cfg = nm.TrainConfig(learning_rate=1e200, epochs=3, batch_size=4, rng_seed=5)
+        with pytest.raises(DomainError, match=r"epoch 1: parameter group \S+ went non-finite"):
+            nm.train(fixture_net(33), data, cfg)
+
 
 class TestEvaluate:
     def test_zero_net_on_balanced_data(self):
@@ -424,7 +466,7 @@ class TestEvaluate:
         single = Dataset(images=data.images[:1], labels=data.labels[:1], class_count=2)
         mean_loss, _ = nm.evaluate(net, single)
         yhat, _ = nm.forward(net, data.images[0])
-        assert mean_loss == loss(net.loss_kind, yhat, data.labels[0])
+        assert mean_loss == loss(LossKind.CROSS_ENTROPY, yhat, data.labels[0])
 
     def test_hand_computed_fixture(self):
         # One all-ones 2x2 kernel, pool covering the whole map, and a
@@ -501,6 +543,21 @@ class TestSaveLoad:
         nm.save(net, buf)
         with pytest.raises(ParseError, match="trailing"):
             nm.load(io.BytesIO(buf.getvalue() + b"\x00"))
+
+    def test_non_relu_conv_activation_refused(self, tmp_path):
+        # load() always reads a ReLU conv layer, so saving tanh would
+        # silently change the model's predictions.
+        net = fixture_net(34)
+        tanh = nm.Network(bank=net.bank, conv_activation=ActivationKind.TANH,
+                          pool=net.pool, dense=net.dense)
+        path = tmp_path / "tanh.cnnf"
+        with pytest.raises(UnsupportedError, match="TANH"):
+            nm.save(tanh, str(path))
+        assert not path.exists()
+        buf = io.BytesIO()
+        with pytest.raises(UnsupportedError):
+            nm.save(tanh, buf)
+        assert buf.getvalue() == b""
 
     def test_inconsistent_geometry_rejected(self):
         net = fixture_net(29)
