@@ -23,7 +23,14 @@ import numpy as np
 from . import network as net_mod
 from .activations import ActivationKind, apply
 from .dataio import Dataset, dataset_from_idx, load_pgm, normalize, synth_bars
-from .errors import ConfigError, ConvkitError, DomainError, GeometryError, ParseError
+from .errors import (
+    ConfigError,
+    ConvkitError,
+    DomainError,
+    GeometryError,
+    ParseError,
+    ShapeError,
+)
 from .gradcheck import check_network
 from .layers import ConvGeometry, PoolGeometry
 
@@ -137,7 +144,7 @@ def _load_dataset(cfg: RunConfig, class_count: int) -> Dataset:
             )
         try:
             return synth_bars(n, h, w, seed=cfg.intval("train.seed", 0))
-        except DomainError as e:
+        except (DomainError, ShapeError) as e:
             raise ConfigError(f"data.source {source!r}: {e}") from e
     if source.startswith("idx:"):
         parts = source[len("idx:"):].split(",")
@@ -252,6 +259,16 @@ def _load_model(path: str) -> net_mod.Network:
         raise ParseError(f"cannot read model {path}: {e}") from e
 
 
+def _threshold(raw: str) -> float:
+    try:
+        v = float(raw)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v) or v <= 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {raw!r}")
+    return v
+
+
 class _Parser(argparse.ArgumentParser):
     # A usage mistake must exit 1, not argparse's default 2.
     def error(self, message):
@@ -271,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of backward()")
     p.add_argument("config")
-    p.add_argument("--threshold", type=float, default=1e-6)
+    p.add_argument("--threshold", type=_threshold, default=1e-6)
 
     p = sub.add_parser("predict", help="classify one PGM image")
     p.add_argument("model")

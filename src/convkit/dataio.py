@@ -10,6 +10,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import DomainError, ParseError, ShapeError, TruncationError
+from .tensor import check_shape
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -216,6 +217,7 @@ def synth_bars(n: int, h: int, w: int, seed: int) -> Dataset:
         raise DomainError(f"extents must be >= 4, got {h}x{w}")
     if n < 2 or n % 2:
         raise DomainError(f"sample count must be even and >= 2, got {n}")
+    check_shape((n, h, w))  # before any image is allocated
     rng = np.random.Generator(np.random.PCG64(seed))
     images = []
     labels = []

@@ -8,6 +8,9 @@ Conventions fixed here once:
   Ipad[c, i*s+u, j*s+v] + b[p]``. The accumulation runs in ascending
   (c, u, v) order with the bias added last, so results are bit-identical
   to a naive nested loop.
+* The kernel gradient ``dK[p, c, u, v]`` is one pairwise ``np.sum`` per
+  tap over its h1*w1 products ``grad[p] * Ipad[c, u:u+h1, v:v+w1]``,
+  laid out contiguously in row-major (i, j) order.
 * Dense weights are (n_out, n_in) with z = W a + b.
 * Max-pool ties break to the first maximum in row-major window order.
 """
@@ -176,16 +179,14 @@ def conv_forward(
     h1, w1, d1 = conv_output_dims(g)
     padded = _pad_image(image, g.pad)
     s = g.stride
-    preact = np.empty((d1, h1, w1))
-    for p in range(d1):
-        acc = np.zeros((h1, w1))
-        for c in range(g.in_c):
-            for u in range(g.k_h):
-                for v in range(g.k_w):
-                    window = padded[c, u : u + (h1 - 1) * s + 1 : s,
-                                    v : v + (w1 - 1) * s + 1 : s]
-                    acc += bank.kernels[p, c, u, v] * window
-        preact[p] = acc + bank.biases[p]
+    preact = np.zeros((d1, h1, w1))
+    for c in range(g.in_c):
+        for u in range(g.k_h):
+            for v in range(g.k_w):
+                window = padded[c, u : u + (h1 - 1) * s + 1 : s,
+                                v : v + (w1 - 1) * s + 1 : s]
+                preact += bank.kernels[:, c, u, v, None, None] * window
+    preact += bank.biases[:, None, None]
     act = apply(activation, preact)
     return preact, act, ForwardTrace(input=image, preact=preact)
 
@@ -247,8 +248,9 @@ def conv_backward(
 
     ``grad_preact`` is the loss gradient at the pre-activation maps (the
     activation derivative already multiplied in). Kernel gradients are
-    the cross-correlation of the padded input with ``grad_preact``; bias
-    gradients are plain sums over each map. Stride must be 1.
+    the cross-correlation of the padded input with ``grad_preact``, each
+    element one pairwise sum over its tap's h1*w1 contiguous products;
+    bias gradients are plain sums over each map. Stride must be 1.
     """
     g = bank.geometry
     if g.stride != 1:
@@ -261,14 +263,11 @@ def conv_backward(
     if grad_preact.shape != (d1, h1, w1):
         raise ShapeError(f"grad shape {grad_preact.shape} != {(d1, h1, w1)}")
     padded = _pad_image(image, g.pad)
-    grad_kernels = np.empty_like(bank.kernels)
-    for p in range(d1):
-        for c in range(g.in_c):
-            for u in range(g.k_h):
-                for v in range(g.k_w):
-                    grad_kernels[p, c, u, v] = np.sum(
-                        grad_preact[p] * padded[c, u : u + h1, v : v + w1]
-                    )
+    # order="C" lays each tap's h1*w1 products out contiguously: the reshape
+    # is a view, and each sum is the pairwise sum a per-tap np.sum computes.
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (h1, w1), axis=(1, 2))
+    products = np.multiply(grad_preact[:, None, None, None], windows[None], order="C")
+    grad_kernels = products.reshape(d1, g.in_c, g.k_h, g.k_w, h1 * w1).sum(axis=-1)
     grad_biases = np.sum(grad_preact, axis=(1, 2))
     return grad_kernels, grad_biases
 

@@ -149,8 +149,15 @@ def init(arch: Architecture, seed: int) -> Network:
         raise ShapeError("architecture needs at least one dense width")
     if not 0 <= seed < 1 << 64:
         raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    rng = np.random.Generator(np.random.PCG64(seed))
     g = arch.conv
+    n_params, n_in = g.n_kernels * (g.in_c * g.k_h * g.k_w + 1), arch.flat_length()
+    for width in arch.dense_widths:
+        n_params, n_in = n_params + width * (n_in + 1), width
+    if n_params > tensor.MAX_ELEMENTS:
+        raise ShapeError(
+            f"architecture has {n_params} parameters, more than {tensor.MAX_ELEMENTS}"
+        )
+    rng = np.random.Generator(np.random.PCG64(seed))
     bound = 1.0 / np.sqrt(g.in_c * g.k_h * g.k_w)
     kernels = rng.uniform(-bound, bound, size=(g.n_kernels, g.in_c, g.k_h, g.k_w))
     bank = KernelBank(kernels=kernels, biases=np.zeros(g.n_kernels), geometry=g)
@@ -250,26 +257,31 @@ def train(
         raise DomainError("cannot train on an empty dataset")
     n = len(data.images)
     history: list[EpochStats] = []
-    for epoch in range(cfg.epochs):
-        if cfg.learning_rate > 0:
-            rng = np.random.Generator(
-                np.random.Philox(key=cfg.rng_seed, counter=epoch * (1 << 64))
-            )
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                grads = []
-                for i in idx:
-                    _, traces = forward(net, data.images[i])
-                    grads.append(backward(net, traces, data.labels[i]))
-                net = sgd_step(net, _mean_grads(grads), cfg.learning_rate)
-                if not np.isfinite(net.params).all():
-                    raise DomainError(
-                        f"epoch {epoch + 1}: parameter group "
-                        f"{_first_nonfinite_group(net)} went non-finite"
-                    )
-        mean_loss, accuracy = evaluate(net, data)
-        history.append(EpochStats(epoch + 1, mean_loss, accuracy))
+    # A diverging run overflows a step before the non-finite guards below
+    # stop it; they report the failure, so numpy's warnings would be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            if cfg.learning_rate > 0:
+                rng = np.random.Generator(
+                    np.random.Philox(key=cfg.rng_seed, counter=epoch * (1 << 64))
+                )
+                order = rng.permutation(n)
+                for start in range(0, n, cfg.batch_size):
+                    idx = order[start : start + cfg.batch_size]
+                    grads = []
+                    for i in idx:
+                        _, traces = forward(net, data.images[i])
+                        grads.append(backward(net, traces, data.labels[i]))
+                    net = sgd_step(net, _mean_grads(grads), cfg.learning_rate)
+                    if not np.isfinite(net.params).all():
+                        raise DomainError(
+                            f"epoch {epoch + 1}: parameter group "
+                            f"{_first_nonfinite_group(net)} went non-finite"
+                        )
+            mean_loss, accuracy = evaluate(net, data)
+            if not math.isfinite(mean_loss):
+                raise DomainError(f"epoch {epoch + 1}: training loss went non-finite")
+            history.append(EpochStats(epoch + 1, mean_loss, accuracy))
     return net, history
 
 

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -142,8 +143,6 @@ class TestTrain:
         assert not (tmp_path / "model-a.cnnf").exists()
         assert not (tmp_path / "metrics-a.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_diverging_run_writes_nothing(self, tmp_path, capsys):
         # the acceptance suite's criterion-7 run with a learning rate that
         # overflows the parameters
@@ -156,10 +155,33 @@ class TestTrain:
             + f"out.model={tmp_path / 'model-a.cnnf'}\n"
             + f"out.csv={tmp_path / 'metrics-a.csv'}\n"
         )
-        assert main(["train", str(path)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", str(path)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "model-a.cnnf").exists()
         assert not (tmp_path / "metrics-a.csv").exists()
+
+    def test_non_finite_loss_writes_nothing(self, tmp_path, capsys):
+        # one full-batch step leaves the parameters huge but finite; the
+        # epoch's evaluation then overflows to a NaN loss
+        cfg = train_config(
+            tmp_path, drop="train.alpha", extra="train.alpha=1e200\ntrain.epochs=1"
+        )
+        assert main(["train", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "epoch 1: training loss went non-finite" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "model-a.cnnf").exists()
+        assert not (tmp_path / "metrics-a.csv").exists()
+
+    def test_oversized_bars_rejected(self, tmp_path, capsys):
+        cfg = train_config(
+            tmp_path, drop="data.source", extra="data.source=bars:1048576,1024,1024"
+        )
+        assert main(["train", cfg]) == 1
+        assert "exceeds" in capsys.readouterr().err
 
 
 class TestEval:
@@ -215,6 +237,14 @@ class TestGradcheck:
     def test_unattainable_threshold_fails(self, tmp_path):
         cfg = train_config(tmp_path)
         assert main(["gradcheck", cfg, "--threshold", "1e-12"]) == 3
+
+    @pytest.mark.parametrize("threshold", ["inf", "nan", "-1", "0"])
+    def test_bad_threshold_is_usage_error(self, tmp_path, capsys, threshold):
+        cfg = train_config(tmp_path)
+        assert main(["gradcheck", cfg, "--threshold", threshold]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--threshold" in captured.err
 
 
 class TestPredict:

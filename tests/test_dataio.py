@@ -1,9 +1,11 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from convkit import tensor
 from convkit.dataio import (
     Dataset,
     dataset_from_idx,
@@ -204,6 +206,22 @@ class TestSynthBars:
     def test_odd_count(self):
         with pytest.raises(DomainError):
             synth_bars(9, 8, 8, seed=0)
+
+    def test_element_limit(self, monkeypatch):
+        monkeypatch.setattr(tensor, "MAX_ELEMENTS", 4 * 8 * 8)
+        assert len(synth_bars(4, 8, 8, seed=0).images) == 4
+        with pytest.raises(ShapeError, match="exceeds"):
+            synth_bars(6, 8, 8, seed=0)
+
+    def test_oversized_request_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match="exceeds"):
+                synth_bars(1 << 20, 1 << 10, 1 << 10, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestDatasetInvariants:

@@ -49,6 +49,21 @@ def conv_forward_oracle(image, kernels, biases, stride, pad):
     return out
 
 
+def conv_backward_oracle(grad, image, kernel_shape, pad):
+    """Per-tap loop: each kernel gradient is one np.sum over that tap's
+    products, the formula the kernel-gradient order is defined by."""
+    kd, cc, kh, kw = kernel_shape
+    padded = np.pad(image, ((0, 0), (pad, pad), (pad, pad)))
+    _, h1, w1 = grad.shape
+    out = np.empty(kernel_shape)
+    for p in range(kd):
+        for c in range(cc):
+            for u in range(kh):
+                for v in range(kw):
+                    out[p, c, u, v] = np.sum(grad[p] * padded[c, u : u + h1, v : v + w1])
+    return out
+
+
 def maxpool_oracle(act, window, stride):
     """Brute-force scan; winner is the first maximum in row-major order."""
     d, h1, w1 = act.shape
@@ -197,6 +212,12 @@ class TestConvForward:
             preact, _, _ = conv_forward(image, bank, RELU)
             expect = conv_forward_oracle(image, bank.kernels, bank.biases, stride, pad)
             assert np.array_equal(preact, expect)
+        # the MNIST geometry: 28x28 input, 8 kernels of 5x5
+        image = rng.standard_normal((1, 28, 28))
+        bank = random_bank(rng, 28, 28, 1, 5, 8)
+        preact, _, _ = conv_forward(image, bank, RELU)
+        expect = conv_forward_oracle(image, bank.kernels, bank.biases, 1, 0)
+        assert np.array_equal(preact, expect)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(24)
@@ -259,6 +280,23 @@ class TestConvBackward:
                     numeric = (hi - lo) / (2 * hh)
                     a = grads.flat[idx]
                     assert abs(a - numeric) / max(abs(a), abs(numeric), 1.0) <= 1e-7
+
+    def test_bit_identical_to_per_tap_sum_oracle(self):
+        rng = np.random.default_rng(31)
+        # (in_h, in_c, k, n_kernels, pad); the last two cases have maps of
+        # 576 and 196 elements, past numpy's pairwise-summation block of 128
+        cases = [
+            (int(rng.integers(3, 10)), int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+             int(rng.integers(1, 5)), int(rng.integers(0, 3)))
+            for _ in range(20)
+        ] + [(28, 1, 5, 8, 0), (13, 3, 2, 3, 1)]
+        for in_h, in_c, k, n_kernels, pad in cases:
+            image = rng.standard_normal((in_c, in_h, in_h))
+            bank = random_bank(rng, in_h, in_h, in_c, k, n_kernels, 1, pad)
+            h1 = in_h + 2 * pad - k + 1
+            grad = rng.standard_normal((n_kernels, h1, h1))
+            gk, _ = conv_backward(grad, image, bank)
+            assert np.array_equal(gk, conv_backward_oracle(grad, image, gk.shape, pad))
 
     def test_stride_unsupported(self):
         rng = np.random.default_rng(29)

@@ -1,5 +1,8 @@
 import io
 import math
+import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,6 +98,30 @@ class TestInit:
         sigma_mean = a / math.sqrt(3 * n)
         assert abs(np.mean(w)) <= 3 * sigma_mean
         assert np.all((w >= -a) & (w <= a))
+
+    def test_parameter_count_limit(self, monkeypatch):
+        # the fixture has 2*9 + 2 conv and 8*18 + 8 + 2*8 + 2 dense parameters
+        monkeypatch.setattr(tensor, "MAX_ELEMENTS", 190)
+        assert fixture_net(0).params.size == 190
+        monkeypatch.setattr(tensor, "MAX_ELEMENTS", 189)
+        with pytest.raises(ShapeError, match="190 parameters"):
+            fixture_net(0)
+
+    def test_oversized_architecture_rejected_before_allocating(self):
+        conv = ConvGeometry(8, 8, 1, 3, 3, 2)
+        huge = [
+            nm.Architecture(conv, PoolGeometry(2, 2), (1 << 26, 2)),
+            nm.Architecture(replace(conv, n_kernels=1 << 27), PoolGeometry(2, 2), (2,)),
+        ]
+        tracemalloc.start()
+        try:
+            for arch in huge:
+                with pytest.raises(ShapeError, match="parameters"):
+                    nm.init(arch, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bad_chain_rejected(self):
         with pytest.raises(ShapeError):
@@ -444,12 +471,20 @@ class TestTrain:
             with pytest.raises(DomainError, match="finite"):
                 nm.TrainConfig(learning_rate=alpha, epochs=1, batch_size=1, rng_seed=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_diverging_run_names_epoch_and_group(self):
         data = synth_bars(8, 8, 8, seed=1)
         cfg = nm.TrainConfig(learning_rate=1e200, epochs=3, batch_size=4, rng_seed=5)
-        with pytest.raises(DomainError, match=r"epoch 1: parameter group \S+ went non-finite"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match=r"epoch 1: parameter group \S+ went non-finite"):
+                nm.train(fixture_net(33), data, cfg)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_non_finite_loss_names_epoch(self):
+        # one full-batch step: the parameters stay finite, the loss does not
+        data = synth_bars(8, 8, 8, seed=1)
+        cfg = nm.TrainConfig(learning_rate=1e200, epochs=1, batch_size=8, rng_seed=5)
+        with pytest.raises(DomainError, match="epoch 1: training loss went non-finite"):
             nm.train(fixture_net(33), data, cfg)
 
 
