@@ -1,6 +1,7 @@
-"""pytest-benchmark cases for the conv layer at the benchmark's two
-geometries: bars (8x8 input, 6 kernels of 3x3) and MNIST (28x28 input,
-8 kernels of 5x5).
+"""pytest-benchmark cases for the layers at the benchmark's two
+geometries: bars (8x8 input, 6 kernels of 3x3, 2x2 pool, first dense
+layer 54 -> 32) and MNIST (28x28 input, 8 kernels of 5x5, 2x2 pool,
+first dense layer 1152 -> 64).
 
 Run from the repository root with::
 
@@ -16,16 +17,23 @@ import pytest
 from convkit.activations import ActivationKind
 from convkit.layers import (
     ConvGeometry,
+    DenseLayer,
     KernelBank,
+    PoolGeometry,
     conv_backward,
     conv_forward,
     conv_output_dims,
+    dense_backward,
+    dense_forward,
+    maxpool_forward,
 )
 
 GEOMETRIES = {
     "bars": ConvGeometry(8, 8, 1, 3, 3, 6),
     "mnist": ConvGeometry(28, 28, 1, 5, 5, 8),
 }
+POOL = PoolGeometry(2, 2)
+DENSE = {"bars": (54, 32), "mnist": (1152, 64)}  # (n_in, n_out)
 
 
 def operands(g: ConvGeometry):
@@ -49,3 +57,33 @@ def test_conv_forward(benchmark, geometry):
 def test_conv_backward(benchmark, geometry):
     bank, image, grad = operands(GEOMETRIES[geometry])
     benchmark(conv_backward, grad, image, bank)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_maxpool_forward(benchmark, geometry):
+    bank, image, _ = operands(GEOMETRIES[geometry])
+    _, act, _ = conv_forward(image, bank, ActivationKind.RELU)
+    benchmark(maxpool_forward, act, POOL)
+
+
+def dense_operands(geometry: str):
+    """A seeded ReLU dense layer, its input and an upstream gradient."""
+    n_in, n_out = DENSE[geometry]
+    rng = np.random.default_rng(1)
+    bound = 1.0 / np.sqrt(n_in)
+    weights = rng.uniform(-bound, bound, size=(n_out, n_in))
+    layer = DenseLayer(weights, np.zeros(n_out), ActivationKind.RELU)
+    return layer, rng.uniform(0.0, 1.0, size=n_in), rng.standard_normal(n_out)
+
+
+@pytest.mark.parametrize("geometry", DENSE)
+def test_dense_forward(benchmark, geometry):
+    layer, a_prev, _ = dense_operands(geometry)
+    benchmark(dense_forward, a_prev, layer)
+
+
+@pytest.mark.parametrize("geometry", DENSE)
+def test_dense_backward(benchmark, geometry):
+    layer, a_prev, grad = dense_operands(geometry)
+    _, _, trace = dense_forward(a_prev, layer)
+    benchmark(dense_backward, grad, layer, trace)

@@ -128,6 +128,15 @@ def _architecture(cfg: RunConfig, in_h: int, in_w: int) -> net_mod.Architecture:
     return arch
 
 
+def _init(arch: net_mod.Architecture, seed: int) -> net_mod.Network:
+    # The parameter count comes from config values, so an oversized one
+    # reports as a config error.
+    try:
+        return net_mod.init(arch, seed=seed)
+    except ShapeError as e:
+        raise ConfigError(f"invalid architecture: {e}") from e
+
+
 def _load_dataset(cfg: RunConfig, class_count: int) -> Dataset:
     source = cfg.require("data.source")
     if source.startswith("bars:"):
@@ -190,7 +199,7 @@ def cmd_train(config_path: str) -> int:
     data = _load_dataset(cfg, class_count=widths[-1])
     _, in_h, in_w = data.images[0].shape
     arch = _architecture(cfg, in_h, in_w)
-    net = net_mod.init(arch, seed=train_cfg.rng_seed)
+    net = _init(arch, train_cfg.rng_seed)
     net, history = net_mod.train(net, data, train_cfg)
     # All computation succeeded; only now touch the filesystem.
     try:
@@ -226,7 +235,7 @@ def cmd_gradcheck(config_path: str, threshold: float) -> int:
     data = _load_dataset(cfg, class_count=widths[-1])
     _, in_h, in_w = data.images[0].shape
     arch = _architecture(cfg, in_h, in_w)
-    net = net_mod.init(arch, seed=seed)
+    net = _init(arch, seed)
     report = check_network(net, (data.images[0], data.labels[0]), threshold=threshold)
     print(report.format())
     return EXIT_OK if report.passed else EXIT_CHECK

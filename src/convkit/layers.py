@@ -11,7 +11,10 @@ Conventions fixed here once:
 * The kernel gradient ``dK[p, c, u, v]`` is one pairwise ``np.sum`` per
   tap over its h1*w1 products ``grad[p] * Ipad[c, u:u+h1, v:v+w1]``,
   laid out contiguously in row-major (i, j) order.
-* Dense weights are (n_out, n_in) with z = W a + b.
+* Dense weights are (n_out, n_in) with z = W a + b. Both ``W a`` and
+  the backward ``W^T delta`` sum in ascending index order (over j and
+  over i respectively) with one accumulator per output element, through
+  ``tensor.sum_rows``.
 * Max-pool ties break to the first maximum in row-major window order.
 """
 
@@ -209,7 +212,10 @@ def maxpool_forward(
             planes[du * k + dv] = act[:, du : du + (h2 - 1) * s + 1 : s,
                                       dv : dv + (w2 - 1) * s + 1 : s]
     flat_win = np.argmax(planes, axis=0)
-    pooled = np.take_along_axis(planes, flat_win[None], axis=0)[0]
+    # Gather the winners themselves (not planes.max, which may return the
+    # other zero of a -0.0/0.0 tie or a different NaN).
+    pooled = planes.reshape(k * k, -1)[flat_win.ravel(), np.arange(flat_win.size)]
+    pooled = pooled.reshape(flat_win.shape)
     base_r = np.arange(h2)[None, :, None] * s
     base_c = np.arange(w2)[None, None, :] * s
     trace = ForwardTrace(
@@ -304,5 +310,5 @@ def dense_backward(
     grad_w = np.outer(delta, trace.input)
     grad_b = delta.copy()
     # Ascending-i accumulation for W^T delta keeps runs bit-reproducible.
-    grad_a_prev = np.cumsum(layer.weights * delta[:, None], axis=0)[-1]
+    grad_a_prev = tensor.sum_rows(np.multiply(layer.weights, delta[:, None], order="C"))
     return grad_w, grad_b, grad_a_prev

@@ -278,26 +278,37 @@ def train(
                             f"epoch {epoch + 1}: parameter group "
                             f"{_first_nonfinite_group(net)} went non-finite"
                         )
-            mean_loss, accuracy = evaluate(net, data)
-            if not math.isfinite(mean_loss):
-                raise DomainError(f"epoch {epoch + 1}: training loss went non-finite")
+            try:
+                mean_loss, accuracy = evaluate(net, data)
+            except NonFiniteLossError as e:
+                raise DomainError(f"epoch {epoch + 1}: training loss went non-finite") from e
             history.append(EpochStats(epoch + 1, mean_loss, accuracy))
     return net, history
 
 
+class NonFiniteLossError(DomainError):
+    """``evaluate`` met a mean loss that is NaN or infinite."""
+
+
 def evaluate(net: Network, data: Dataset) -> tuple[float, float]:
     """Mean cross-entropy loss and argmax accuracy over a dataset (ties go to
-    the lowest class index)."""
+    the lowest class index). Raises ``NonFiniteLossError`` when the mean
+    loss is not finite, as it is for parameters so large that the forward
+    pass overflows."""
     if len(data.images) == 0:
         raise DomainError("cannot evaluate an empty dataset")
     total = 0.0
     correct = 0
-    for image, label in zip(data.images, data.labels):
-        yhat, _ = forward(net, image)
-        total += loss(LossKind.CROSS_ENTROPY, yhat, label)
-        if int(np.argmax(yhat)) == int(np.argmax(label)):
-            correct += 1
+    # The check below reports an overflow, so numpy's warnings would be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for image, label in zip(data.images, data.labels):
+            yhat, _ = forward(net, image)
+            total += loss(LossKind.CROSS_ENTROPY, yhat, label)
+            if int(np.argmax(yhat)) == int(np.argmax(label)):
+                correct += 1
     n = len(data.images)
+    if not math.isfinite(total / n):
+        raise NonFiniteLossError(f"mean loss over {n} samples is {total / n}")
     return total / n, correct / n
 
 

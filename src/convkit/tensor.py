@@ -8,8 +8,11 @@ are unambiguous:
 * rank-3: channel-major, index (c, h, w) -> ((c*H) + h)*W + w
 
 which is exactly numpy's C order. All arithmetic is in 64-bit floats;
-where a summation order is promised (``matvec``), it is ascending-index
-and reproducible bit-for-bit across runs.
+where a summation order is promised (``matvec``, ``sum_rows``), it is
+ascending-index and reproducible bit-for-bit across runs. Such sums are
+axis-0 reductions over C-order rows: numpy adds those one row at a time
+into a running total, whereas a reduction along a contiguous axis is
+pairwise and would change bits.
 """
 
 from __future__ import annotations
@@ -57,12 +60,28 @@ def rot180(m: np.ndarray) -> np.ndarray:
     return m[::-1, ::-1].copy()
 
 
+def sum_rows(p: np.ndarray) -> np.ndarray:
+    """Column sums out[j] = sum_i p[i, j] of a C-contiguous rank-2 array,
+    adding the rows in ascending i with one accumulator per column.
+
+    The reduction starts from -0.0, the exact additive identity, so each
+    sum equals a running sum started at p[0, j]. With a single column
+    numpy would see one contiguous reduction and sum it pairwise, so that
+    case takes a sequential cumsum instead.
+    """
+    if p.shape[1] == 1:
+        return np.cumsum(p[:, 0])[-1:]
+    return np.add.reduce(p, axis=0, initial=-0.0)
+
+
 def matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Matrix-vector product out[i] = sum_j w[i, j] * a[j].
 
-    The sum runs in ascending j with a single accumulator per row
-    (cumsum is sequential), so the result is bit-identical to a naive
-    double loop and deterministic across runs.
+    The products are laid out as the C-order rows of w.T * a[:, None] and
+    summed by ``sum_rows``, so each row's sum runs in ascending j with a
+    single accumulator: bit-identical to a naive double loop whose
+    accumulator starts at the row's first product, and deterministic
+    across runs.
     """
     w = np.asarray(w, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -70,7 +89,7 @@ def matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matvec expects rank-2 by rank-1, got {w.ndim} by {a.ndim}")
     if w.shape[1] != a.shape[0]:
         raise ShapeError(f"inner dims disagree: {w.shape} vs {a.shape}")
-    return np.cumsum(w * a[None, :], axis=1)[:, -1]
+    return sum_rows(np.multiply(w.T, a[:, None], order="C"))
 
 
 def flatten(t: np.ndarray) -> np.ndarray:

@@ -74,6 +74,10 @@ def write_pgm(tmp_path, name, h, w, value=128):
     return str(path)
 
 
+# 67108864 * 19 dense weights alone exceed tensor.MAX_ELEMENTS (2**30).
+OVERSIZED_WIDTHS = "67108864,2"
+
+
 class TestTrain:
     def test_success_writes_csv_and_model(self, tmp_path, capsys):
         cfg = train_config(tmp_path)
@@ -183,6 +187,16 @@ class TestTrain:
         assert main(["train", cfg]) == 1
         assert "exceeds" in capsys.readouterr().err
 
+    def test_oversized_architecture_is_config_error(self, tmp_path, capsys):
+        cfg = train_config(
+            tmp_path, drop="dense.widths", extra=f"dense.widths={OVERSIZED_WIDTHS}"
+        )
+        assert main(["train", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "parameters" in captured.err and captured.out == ""
+        assert not (tmp_path / "model-a.cnnf").exists()
+        assert not (tmp_path / "metrics-a.csv").exists()
+
 
 class TestEval:
     def test_eval_trained_model(self, tmp_path, capsys):
@@ -224,6 +238,33 @@ class TestEval:
         bad.write_bytes(b"XXXX" + bytes(64))
         assert main(["eval", str(bad), cfg]) == 2
 
+    def test_overflowing_model_is_data_error(self, tmp_path, capsys):
+        # the acceptance suite's criterion-7 model with huge but finite
+        # parameters: its forward pass overflows to a NaN loss
+        path = tmp_path / "crit7.cfg"
+        path.write_text(
+            BASE_KEYS.replace("train.epochs=3", "train.epochs=4")
+            .replace("train.batch_size=20", "train.batch_size=25")
+            .replace("bars:20,8,8", "bars:50,8,8")
+            + f"out.model={tmp_path / 'model-a.cnnf'}\n"
+            + f"out.csv={tmp_path / 'metrics-a.csv'}\n"
+        )
+        assert main(["train", str(path)]) == 0
+        net = nm.load(str(tmp_path / "model-a.cnnf"))
+        net.params *= 1e200
+        assert np.isfinite(net.params).all()
+        huge = tmp_path / "huge.cnnf"
+        nm.save(net, str(huge))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval", str(huge), str(path)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: mean loss")
+
 
 class TestGradcheck:
     def test_fixture_passes_and_prints_groups(self, tmp_path, capsys):
@@ -237,6 +278,14 @@ class TestGradcheck:
     def test_unattainable_threshold_fails(self, tmp_path):
         cfg = train_config(tmp_path)
         assert main(["gradcheck", cfg, "--threshold", "1e-12"]) == 3
+
+    def test_oversized_architecture_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "big.cfg", drop="dense.widths", extra=f"dense.widths={OVERSIZED_WIDTHS}"
+        )
+        assert main(["gradcheck", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "parameters" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("threshold", ["inf", "nan", "-1", "0"])
     def test_bad_threshold_is_usage_error(self, tmp_path, capsys, threshold):

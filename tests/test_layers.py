@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convkit import tensor
-from convkit.activations import ActivationKind
+from convkit.activations import ActivationKind, apply
 from convkit.errors import GeometryError, ShapeError, UnsupportedError
 from convkit.layers import (
     ConvGeometry,
@@ -85,6 +85,20 @@ def maxpool_oracle(act, window, stride):
                             cols[c, i, j] = j * stride + dv
                 pooled[c, i, j] = best
     return pooled, rows, cols
+
+
+def transpose_matvec_oracle(w, delta):
+    """W^T delta as a double loop: ascending i, one accumulator per column,
+    started at the first product (a saturated sigmoid's delta holds signed
+    zeros, and 0.0 + -0.0 would lose the sign)."""
+    n_out, n_in = w.shape
+    out = np.empty(n_in)
+    for j in range(n_in):
+        acc = w[0, j] * delta[0]
+        for i in range(1, n_out):
+            acc += w[i, j] * delta[i]
+        out[j] = acc
+    return out
 
 
 def sliding_window_count(extent, k, stride, pad):
@@ -378,6 +392,19 @@ class TestMaxPool:
         with pytest.raises(GeometryError):
             maxpool_forward(np.zeros((1, 5, 5)), PoolGeometry(2, 2))
 
+    @pytest.mark.parametrize("window,stride,size", [(2, 2, 8), (3, 2, 9)])
+    def test_signed_zero_ties_keep_first_max_bits(self, window, stride, size):
+        # Leaky ReLU passes -0.0 through, so windows whose maximum is a
+        # -0.0/0.0 tie are common; the pooled value is the first one's bits.
+        rng = np.random.default_rng(39)
+        z = rng.choice(np.array([-0.0, 0.0, -1.0]), size=(4, size, size))
+        act = apply(ActivationKind.LEAKY_RELU, z)
+        pooled, _ = maxpool_forward(act, PoolGeometry(window, stride))
+        expect, _, _ = maxpool_oracle(act, window, stride)
+        zero_signs = np.signbit(expect[expect == 0.0])
+        assert zero_signs.any() and not zero_signs.all()  # both zeros win somewhere
+        assert np.array_equal(pooled.view(np.int64), expect.view(np.int64))
+
 
 class TestMaxPoolBackward:
     def test_routes_to_winner(self):
@@ -524,6 +551,19 @@ class TestDenseBackward:
                 else:
                     worst = max(worst, abs(a - numeric) / scale)
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize(
+        "n_out,n_in", [(9, 1), (64, 1), (1, 5), (2, 129), (10, 64), (64, 1152)]
+    )
+    def test_grad_input_bit_identical_to_loop_oracle(self, n_out, n_in):
+        # n_in == 1 is tensor.sum_rows's one-column case
+        rng = np.random.default_rng(n_out * 10000 + n_in)
+        w = rng.standard_normal((n_out, n_in)) * 10.0 ** rng.integers(-6, 7, (n_out, n_in))
+        layer = DenseLayer(w, rng.standard_normal(n_out), SIGMOID)
+        _, _, trace = dense_forward(rng.standard_normal(n_in), layer)
+        _, gb, gx = dense_backward(rng.standard_normal(n_out), layer, trace)
+        expect = transpose_matvec_oracle(layer.weights, gb)  # gb is delta
+        assert np.array_equal(gx.view(np.int64), expect.view(np.int64))
 
     def test_softmax_layer_rejected(self):
         layer = DenseLayer(np.zeros((2, 2)), np.zeros(2), ActivationKind.SOFTMAX)

@@ -529,6 +529,16 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             nm.evaluate(fixture_net(22), Dataset(images=[], labels=[], class_count=2))
 
+    def test_overflowing_parameters_raise_without_warnings(self):
+        net = fixture_net(23)
+        net.params *= 1e200
+        data = synth_bars(4, 8, 8, seed=6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(nm.NonFiniteLossError, match="mean loss over 4 samples"):
+                nm.evaluate(net, data)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):

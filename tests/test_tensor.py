@@ -26,6 +26,21 @@ def matvec_oracle(w, a):
     return out
 
 
+def sum_rows_oracle(p):
+    """Running sum down each column, started at the column's first element."""
+    out = np.empty(p.shape[1])
+    for j in range(p.shape[1]):
+        acc = p[0, j]
+        for i in range(1, p.shape[0]):
+            acc += p[i, j]
+        out[j] = acc
+    return out
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
 class TestMake:
     def test_fill_rank2(self):
         assert np.array_equal(tensor.make([2, 2], 0.0), np.zeros((2, 2)))
@@ -91,9 +106,37 @@ class TestMatvec:
             a = rng.standard_normal(n_in)
             assert np.array_equal(tensor.matvec(w, a), matvec_oracle(w, a))
 
+    @pytest.mark.parametrize("n_out", [1, 2, 64])
+    @pytest.mark.parametrize("n_in", [8, 129, 1152, 5000])
+    def test_bit_identical_at_layer_sizes(self, n_in, n_out):
+        # Long rows, where a pairwise sum (numpy's order along a contiguous
+        # axis) would change bits; n_out == 1 is sum_rows's one-column case.
+        rng = np.random.default_rng(n_in * 100 + n_out)
+        w = rng.standard_normal((n_out, n_in)) * 10.0 ** rng.integers(-6, 7, (n_out, n_in))
+        a = rng.standard_normal(n_in)
+        assert np.array_equal(bits(tensor.matvec(w, a)), bits(matvec_oracle(w, a)))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             tensor.matvec(np.ones((2, 3)), np.ones(4))
+
+
+class TestSumRows:
+    @pytest.mark.parametrize("n_cols", [1, 2])
+    def test_ascending_running_sum(self, n_cols):
+        rng = np.random.default_rng(7 + n_cols)
+        p = rng.standard_normal((5000, n_cols)) * 10.0 ** rng.integers(-6, 7, (5000, n_cols))
+        out = tensor.sum_rows(p)
+        assert out.shape == (n_cols,)
+        assert np.array_equal(bits(out), bits(sum_rows_oracle(p)))
+        # the pairwise sum that a contiguous reduction would give differs
+        pairwise = np.ascontiguousarray(p.T).sum(axis=1)
+        assert not np.array_equal(bits(out), bits(pairwise))
+
+    @pytest.mark.parametrize("n_cols", [1, 2])
+    def test_all_negative_zero_column_stays_negative(self, n_cols):
+        p = np.full((3, n_cols), -0.0)
+        assert np.array_equal(bits(tensor.sum_rows(p)), bits(np.full(n_cols, -0.0)))
 
 
 class TestFlatten:
