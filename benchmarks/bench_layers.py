@@ -25,6 +25,7 @@ from convkit.layers import (
     conv_output_dims,
     dense_backward,
     dense_forward,
+    maxpool_backward,
     maxpool_forward,
 )
 
@@ -64,6 +65,15 @@ def test_maxpool_forward(benchmark, geometry):
     bank, image, _ = operands(GEOMETRIES[geometry])
     _, act, _ = conv_forward(image, bank, ActivationKind.RELU)
     benchmark(maxpool_forward, act, POOL)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_maxpool_backward(benchmark, geometry):
+    bank, image, _ = operands(GEOMETRIES[geometry])
+    _, act, _ = conv_forward(image, bank, ActivationKind.RELU)
+    pooled, trace = maxpool_forward(act, POOL)
+    grad = np.random.default_rng(2).standard_normal(pooled.shape)
+    benchmark(maxpool_backward, grad, trace)
 
 
 def dense_operands(geometry: str):

@@ -70,7 +70,9 @@ class RunConfig:
             raise ConfigError(f"missing required config key '{key}'")
         return self.pairs[key]
 
-    def intval(self, key: str, minimum: int | None = None) -> int:
+    def intval(
+        self, key: str, minimum: int | None = None, maximum: int | None = None
+    ) -> int:
         raw = self.require(key)
         try:
             v = int(raw)
@@ -78,6 +80,8 @@ class RunConfig:
             raise ConfigError(f"config key '{key}' must be an integer, got {raw!r}") from None
         if minimum is not None and v < minimum:
             raise ConfigError(f"config key '{key}' must be >= {minimum}, got {v}")
+        if maximum is not None and v > maximum:
+            raise ConfigError(f"config key '{key}' must be <= {maximum}, got {v}")
         return v
 
     def floatval(self, key: str, nonnegative: bool = False) -> float:
@@ -101,6 +105,11 @@ class RunConfig:
         if not ws or any(w < 1 for w in ws):
             raise ConfigError(f"config key '{key}' needs positive widths, got {raw!r}")
         return ws
+
+
+def _seed(cfg: RunConfig) -> int:
+    # The generators take an unsigned 64-bit seed.
+    return cfg.intval("train.seed", 0, 2**64 - 1)
 
 
 def _architecture(cfg: RunConfig, in_h: int, in_w: int) -> net_mod.Architecture:
@@ -152,7 +161,7 @@ def _load_dataset(cfg: RunConfig, class_count: int) -> Dataset:
                 f"bars data has 2 classes but the network has {class_count}"
             )
         try:
-            return synth_bars(n, h, w, seed=cfg.intval("train.seed", 0))
+            return synth_bars(n, h, w, seed=_seed(cfg))
         except (DomainError, ShapeError) as e:
             raise ConfigError(f"data.source {source!r}: {e}") from e
     if source.startswith("idx:"):
@@ -189,7 +198,7 @@ def cmd_train(config_path: str) -> int:
         learning_rate=cfg.floatval("train.alpha", nonnegative=True),
         epochs=cfg.intval("train.epochs", 1),
         batch_size=cfg.intval("train.batch_size", 1),
-        rng_seed=cfg.intval("train.seed", 0),
+        rng_seed=_seed(cfg),
     )
     if cfg.intval("conv.stride", 1) != 1:
         raise ConfigError("training supports conv.stride=1 only")
@@ -228,7 +237,7 @@ def cmd_eval(model_path: str, config_path: str) -> int:
 
 def cmd_gradcheck(config_path: str, threshold: float) -> int:
     cfg = RunConfig.from_file(config_path)
-    seed = cfg.intval("train.seed", 0)
+    seed = _seed(cfg)
     if cfg.intval("conv.stride", 1) != 1:
         raise ConfigError("gradient checking supports conv.stride=1 only")
     widths = cfg.widths("dense.widths")
@@ -254,7 +263,11 @@ def cmd_predict(model_path: str, image_path: str, softmax: bool) -> int:
             f"model expects images {(g.in_c, g.in_h, g.in_w)}, "
             f"image {image_path} is {image.shape}"
         )
-    yhat, _ = net_mod.forward(net, image)
+    # The check below reports an overflow, so numpy's warnings would be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        yhat, _ = net_mod.forward(net, image)
+    if not np.isfinite(yhat).all():
+        raise DomainError(f"model output for {image_path} is not finite")
     out = apply(ActivationKind.SOFTMAX, yhat) if softmax else yhat
     print(" ".join(f"{v:.6f}" for v in out))
     print(f"class={int(np.argmax(out))}")

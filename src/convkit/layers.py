@@ -5,9 +5,10 @@ Conventions fixed here once:
 
 * Convolution is the cross-correlation form: the kernel slides without
   index reversal, ``preact[p, i, j] = sum_{c,u,v} K[p,c,u,v] *
-  Ipad[c, i*s+u, j*s+v] + b[p]``. The accumulation runs in ascending
-  (c, u, v) order with the bias added last, so results are bit-identical
-  to a naive nested loop.
+  Ipad[c, i*s+u, j*s+v] + b[p]``, summed over the taps in ascending
+  (c, u, v) order from +0.0 (a loop's ``acc = 0.0``; the dense sums start
+  at -0.0) with the bias added last, so results are bit-identical to a
+  naive nested loop.
 * The kernel gradient ``dK[p, c, u, v]`` is one pairwise ``np.sum`` per
   tap over its h1*w1 products ``grad[p] * Ipad[c, u:u+h1, v:v+w1]``,
   laid out contiguously in row-major (i, j) order.
@@ -15,7 +16,8 @@ Conventions fixed here once:
   the backward ``W^T delta`` sum in ascending index order (over j and
   over i respectively) with one accumulator per output element, through
   ``tensor.sum_rows``.
-* Max-pool ties break to the first maximum in row-major window order.
+* Max-pool ties break to the first maximum in row-major window order;
+  backward adds the gradients at the winners in pooled row-major order.
 """
 
 from __future__ import annotations
@@ -161,16 +163,25 @@ class ForwardTrace:
     argmax_cols: np.ndarray | None = None
 
 
-def _pad_image(image: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return image
-    return np.pad(image, ((0, 0), (pad, pad), (pad, pad)))
+def _taps(image: np.ndarray, g: ConvGeometry, h1: int, w1: int) -> np.ndarray:
+    """Read-only (in_c, k_h, k_w, h1, w1) view of the zero-padded image:
+    entry [c, u, v] is the strided window that tap (c, u, v) multiplies."""
+    if g.pad:
+        image = np.pad(image, ((0, 0), (g.pad, g.pad), (g.pad, g.pad)))
+    sc, sh, sw = image.strides
+    shape = (g.in_c, g.k_h, g.k_w, h1, w1)
+    strides = (sc, sh, sw, sh * g.stride, sw * g.stride)
+    return np.lib.stride_tricks.as_strided(image, shape, strides, writeable=False)
 
 
 def conv_forward(
     image: np.ndarray, bank: KernelBank, activation: ActivationKind
 ) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
     """Slide the kernel bank over the (channels, H, W) image.
+
+    Each tap's products for the whole bank are one C-order row of a
+    (taps, d1*h1*w1) tensor, taps in ascending (c, u, v) order;
+    ``tensor.sum_rows`` adds the rows from +0.0, then the biases are added.
 
     Returns the pre-activation feature maps, the activated maps, and the
     trace caching the input image and pre-activation.
@@ -180,16 +191,14 @@ def conv_forward(
     if image.shape != (g.in_c, g.in_h, g.in_w):
         raise ShapeError(f"image shape {image.shape} != {(g.in_c, g.in_h, g.in_w)}")
     h1, w1, d1 = conv_output_dims(g)
-    padded = _pad_image(image, g.pad)
-    s = g.stride
-    preact = np.zeros((d1, h1, w1))
-    for c in range(g.in_c):
-        for u in range(g.k_h):
-            for v in range(g.k_w):
-                window = padded[c, u : u + (h1 - 1) * s + 1 : s,
-                                v : v + (w1 - 1) * s + 1 : s]
-                preact += bank.kernels[:, c, u, v, None, None] * window
-    preact += bank.biases[:, None, None]
+    n_taps = g.in_c * g.k_h * g.k_w
+    taps = _taps(image, g, h1, w1)
+    # order="C" makes each tap's products one contiguous row: numpy would
+    # otherwise follow the transposed kernels' layout.
+    kernels = bank.kernels.reshape(d1, n_taps).T[:, :, None, None]
+    products = np.multiply(kernels, taps.reshape(n_taps, 1, h1, w1), order="C")
+    preact = tensor.sum_rows(products.reshape(n_taps, -1), initial=0.0)
+    preact = preact.reshape(d1, h1, w1) + bank.biases[:, None, None]
     act = apply(activation, preact)
     return preact, act, ForwardTrace(input=image, preact=preact)
 
@@ -230,6 +239,8 @@ def maxpool_backward(grad_pooled: np.ndarray, trace: ForwardTrace) -> np.ndarray
     """Route each pooled gradient back to its winning input position.
 
     Every non-winning position gets zero; overlapping windows accumulate.
+    One ``np.bincount`` over the winners' flat (chan, row, col) indices
+    adds the gradients in pooled row-major order into sums started at 0.0.
     """
     grad_pooled = np.asarray(grad_pooled, dtype=np.float64)
     if trace.argmax_rows is None or trace.argmax_cols is None:
@@ -238,13 +249,11 @@ def maxpool_backward(grad_pooled: np.ndarray, trace: ForwardTrace) -> np.ndarray
         raise ShapeError(
             f"grad shape {grad_pooled.shape} != pooled shape {trace.argmax_rows.shape}"
         )
-    out = np.zeros_like(trace.input)
-    d2 = grad_pooled.shape[0]
-    chan = np.broadcast_to(
-        np.arange(d2)[:, None, None], grad_pooled.shape
-    )
-    np.add.at(out, (chan, trace.argmax_rows, trace.argmax_cols), grad_pooled)
-    return out
+    d1, h1, w1 = trace.input.shape
+    chan = np.arange(grad_pooled.shape[0])[:, None, None]
+    flat = (chan * h1 + trace.argmax_rows) * w1 + trace.argmax_cols
+    out = np.bincount(flat.ravel(), weights=grad_pooled.ravel(), minlength=d1 * h1 * w1)
+    return out.reshape(d1, h1, w1)
 
 
 def conv_backward(
@@ -268,11 +277,10 @@ def conv_backward(
     h1, w1, d1 = conv_output_dims(g)
     if grad_preact.shape != (d1, h1, w1):
         raise ShapeError(f"grad shape {grad_preact.shape} != {(d1, h1, w1)}")
-    padded = _pad_image(image, g.pad)
+    taps = _taps(image, g, h1, w1)
     # order="C" lays each tap's h1*w1 products out contiguously: the reshape
     # is a view, and each sum is the pairwise sum a per-tap np.sum computes.
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (h1, w1), axis=(1, 2))
-    products = np.multiply(grad_preact[:, None, None, None], windows[None], order="C")
+    products = np.multiply(grad_preact[:, None, None, None], taps[None], order="C")
     grad_kernels = products.reshape(d1, g.in_c, g.k_h, g.k_w, h1 * w1).sum(axis=-1)
     grad_biases = np.sum(grad_preact, axis=(1, 2))
     return grad_kernels, grad_biases

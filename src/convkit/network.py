@@ -12,7 +12,7 @@ import io
 import math
 import struct
 from dataclasses import dataclass, field, replace
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -230,12 +230,15 @@ def sgd_step(net: Network, grads: np.ndarray, alpha: float) -> Network:
     return stepped
 
 
-def _mean_grads(batch: list[np.ndarray]) -> np.ndarray:
+def _mean_grads(grads: Iterable[np.ndarray]) -> np.ndarray:
     # A sequential sum in sample order: np.sum's pairwise order changes bits.
-    acc = np.zeros_like(batch[0])
-    for g in batch:
+    # Taking an iterable lets train add each gradient as it is computed.
+    acc, n = None, 0
+    for n, g in enumerate(grads, 1):
+        if acc is None:
+            acc = np.zeros_like(g)
         acc += g
-    return acc / len(batch)
+    return acc / n
 
 
 def _first_nonfinite_group(net: Network) -> str:
@@ -268,10 +271,10 @@ def train(
                 order = rng.permutation(n)
                 for start in range(0, n, cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
-                    grads = []
-                    for i in idx:
-                        _, traces = forward(net, data.images[i])
-                        grads.append(backward(net, traces, data.labels[i]))
+                    grads = (
+                        backward(net, forward(net, data.images[i])[1], data.labels[i])
+                        for i in idx
+                    )
                     net = sgd_step(net, _mean_grads(grads), cfg.learning_rate)
                     if not np.isfinite(net.params).all():
                         raise DomainError(

@@ -60,18 +60,19 @@ def rot180(m: np.ndarray) -> np.ndarray:
     return m[::-1, ::-1].copy()
 
 
-def sum_rows(p: np.ndarray) -> np.ndarray:
-    """Column sums out[j] = sum_i p[i, j] of a C-contiguous rank-2 array,
-    adding the rows in ascending i with one accumulator per column.
+def sum_rows(p: np.ndarray, initial: float = -0.0) -> np.ndarray:
+    """Column sums out[j] = initial + sum_i p[i, j] of a C-contiguous rank-2
+    array, adding the rows in ascending i into one accumulator per column.
 
-    The reduction starts from -0.0, the exact additive identity, so each
-    sum equals a running sum started at p[0, j]. With a single column
-    numpy would see one contiguous reduction and sum it pairwise, so that
-    case takes a sequential cumsum instead.
+    The default -0.0 is the exact additive identity, so each sum equals a
+    running sum started at p[0, j]; from +0.0 an all -0.0 column sums to
+    +0.0. With a single column numpy would see one contiguous reduction
+    and sum it pairwise, so that case takes a sequential cumsum and adds
+    ``initial`` last, which gives the same bits for either zero.
     """
     if p.shape[1] == 1:
-        return np.cumsum(p[:, 0])[-1:]
-    return np.add.reduce(p, axis=0, initial=-0.0)
+        return np.cumsum(p[:, 0])[-1:] + initial
+    return np.add.reduce(p, axis=0, initial=initial)
 
 
 def matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -77,6 +77,30 @@ def write_pgm(tmp_path, name, h, w, value=128):
 # 67108864 * 19 dense weights alone exceed tensor.MAX_ELEMENTS (2**30).
 OVERSIZED_WIDTHS = "67108864,2"
 
+# One past the largest unsigned 64-bit seed.
+SEED_2_64 = "train.seed=18446744073709551616"
+
+
+def overflowing_model(tmp_path):
+    """The acceptance suite's criterion-7 model with its parameters times
+    1e200: huge but finite, so its forward pass overflows. Returns the
+    model path and the criterion-7 config."""
+    path = tmp_path / "crit7.cfg"
+    path.write_text(
+        BASE_KEYS.replace("train.epochs=3", "train.epochs=4")
+        .replace("train.batch_size=20", "train.batch_size=25")
+        .replace("bars:20,8,8", "bars:50,8,8")
+        + f"out.model={tmp_path / 'model-a.cnnf'}\n"
+        + f"out.csv={tmp_path / 'metrics-a.csv'}\n"
+    )
+    assert main(["train", str(path)]) == 0
+    net = nm.load(str(tmp_path / "model-a.cnnf"))
+    net.params *= 1e200
+    assert np.isfinite(net.params).all()
+    huge = tmp_path / "huge.cnnf"
+    nm.save(net, str(huge))
+    return str(huge), str(path)
+
 
 class TestTrain:
     def test_success_writes_csv_and_model(self, tmp_path, capsys):
@@ -197,6 +221,20 @@ class TestTrain:
         assert not (tmp_path / "model-a.cnnf").exists()
         assert not (tmp_path / "metrics-a.csv").exists()
 
+    def test_seed_over_64_bits_is_config_error(self, tmp_path, capsys):
+        cfg = train_config(tmp_path, drop="train.seed", extra=SEED_2_64)
+        assert main(["train", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "train.seed" in captured.err and captured.out == ""
+        assert not (tmp_path / "model-a.cnnf").exists()
+        assert not (tmp_path / "metrics-a.csv").exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        cfg = train_config(
+            tmp_path, drop="train.seed", extra="train.seed=18446744073709551615"
+        )
+        assert main(["train", cfg]) == 0
+
 
 class TestEval:
     def test_eval_trained_model(self, tmp_path, capsys):
@@ -239,26 +277,12 @@ class TestEval:
         assert main(["eval", str(bad), cfg]) == 2
 
     def test_overflowing_model_is_data_error(self, tmp_path, capsys):
-        # the acceptance suite's criterion-7 model with huge but finite
-        # parameters: its forward pass overflows to a NaN loss
-        path = tmp_path / "crit7.cfg"
-        path.write_text(
-            BASE_KEYS.replace("train.epochs=3", "train.epochs=4")
-            .replace("train.batch_size=20", "train.batch_size=25")
-            .replace("bars:20,8,8", "bars:50,8,8")
-            + f"out.model={tmp_path / 'model-a.cnnf'}\n"
-            + f"out.csv={tmp_path / 'metrics-a.csv'}\n"
-        )
-        assert main(["train", str(path)]) == 0
-        net = nm.load(str(tmp_path / "model-a.cnnf"))
-        net.params *= 1e200
-        assert np.isfinite(net.params).all()
-        huge = tmp_path / "huge.cnnf"
-        nm.save(net, str(huge))
+        # the forward pass overflows to a NaN loss
+        huge, path = overflowing_model(tmp_path)
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["eval", str(huge), str(path)]) == 2
+            assert main(["eval", huge, path]) == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -286,6 +310,12 @@ class TestGradcheck:
         assert main(["gradcheck", cfg]) == 1
         captured = capsys.readouterr()
         assert "parameters" in captured.err and captured.out == ""
+
+    def test_seed_over_64_bits_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "seed.cfg", drop="train.seed", extra=SEED_2_64)
+        assert main(["gradcheck", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "train.seed" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("threshold", ["inf", "nan", "-1", "0"])
     def test_bad_threshold_is_usage_error(self, tmp_path, capsys, threshold):
@@ -322,6 +352,20 @@ class TestPredict:
         model = zero_model(tmp_path)
         image = write_pgm(tmp_path, "img.pgm", 12, 12)
         assert main(["predict", model, image]) == 2
+
+    @pytest.mark.parametrize("softmax", [[], ["--softmax"]])
+    def test_overflowing_model_is_data_error(self, tmp_path, capsys, softmax):
+        huge, _ = overflowing_model(tmp_path)
+        image = write_pgm(tmp_path, "img.pgm", 8, 8)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["predict", huge, image, *softmax]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "not finite" in lines[0]
 
 
 class TestUsage:

@@ -87,6 +87,17 @@ def maxpool_oracle(act, window, stride):
     return pooled, rows, cols
 
 
+def maxpool_backward_oracle(grad, rows, cols, input_shape):
+    """Pooled row-major loop adding each gradient at its winner into zeros."""
+    out = np.zeros(input_shape)
+    d, h2, w2 = grad.shape
+    for c in range(d):
+        for i in range(h2):
+            for j in range(w2):
+                out[c, rows[c, i, j], cols[c, i, j]] += grad[c, i, j]
+    return out
+
+
 def transpose_matvec_oracle(w, delta):
     """W^T delta as a double loop: ascending i, one accumulator per column,
     started at the first product (a saturated sigmoid's delta holds signed
@@ -232,6 +243,42 @@ class TestConvForward:
         preact, _, _ = conv_forward(image, bank, RELU)
         expect = conv_forward_oracle(image, bank.kernels, bank.biases, 1, 0)
         assert np.array_equal(preact, expect)
+
+    @pytest.mark.parametrize(
+        "in_c,h,w,k,n_kernels,stride",
+        [
+            (1, 5, 5, 5, 1, 1),  # one output element over 25 taps
+            (3, 4, 4, 4, 1, 1),  # one output element over 48 taps
+            (2, 9, 4, 4, 3, 1),  # one output column
+            (1, 8, 4, 4, 4, 1),  # one output column, one channel
+            (1, 3, 9, 3, 2, 2),  # one output row, strided
+        ],
+    )
+    def test_bit_identical_thin_outputs(self, in_c, h, w, k, n_kernels, stride):
+        # Few output elements per kernel, where a sum over the taps could
+        # run along a contiguous axis and be pairwise.
+        rng = np.random.default_rng(26 + h * w)
+        bank = random_bank(rng, h, w, in_c, k, n_kernels, stride)
+        bank.kernels *= 10.0 ** rng.integers(-6, 7, bank.kernels.shape)
+        image = rng.standard_normal((in_c, h, w))
+        preact, _, _ = conv_forward(image, bank, RELU)
+        expect = conv_forward_oracle(image, bank.kernels, bank.biases, stride, 0)
+        assert np.array_equal(preact.view(np.int64), expect.view(np.int64))
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_signed_zero_sums_start_at_positive_zero(self, k):
+        # All products are -0.0 (a zero image times negative kernels) and
+        # the biases are -0.0: the oracle's acc = 0.0 makes every sum +0.0,
+        # where a sum started at -0.0 or at the first product stays -0.0.
+        g = ConvGeometry(6, 6, 2, k, k, 3)
+        bank = KernelBank(
+            kernels=-np.ones((3, 2, k, k)), biases=np.full(3, -0.0), geometry=g
+        )
+        image = np.zeros((2, 6, 6))
+        preact, _, _ = conv_forward(image, bank, RELU)
+        expect = conv_forward_oracle(image, bank.kernels, bank.biases, 1, 0)
+        assert not np.signbit(expect).any()
+        assert np.array_equal(preact.view(np.int64), expect.view(np.int64))
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(24)
@@ -454,6 +501,22 @@ class TestMaxPoolBackward:
             numeric = (hi - lo) / (2 * step)
             a = analytic[c, i, j]
             assert abs(a - numeric) / max(abs(a), abs(numeric), 1.0) <= 1e-7
+
+    @pytest.mark.parametrize("window,stride,size", [(2, 2, 8), (3, 2, 9), (3, 1, 7)])
+    def test_bit_identical_to_loop_oracle(self, window, stride, size):
+        # Overlapping windows route several gradients to one winner; the
+        # sums run in pooled row-major order from 0.0, so -0.0 gradients
+        # land as +0.0 and mixed magnitudes keep their order's rounding.
+        rng = np.random.default_rng(36 + window * 10 + stride)
+        act = rng.choice(np.array([0.0, 1.0, 2.0]), size=(3, size, size))
+        pooled, trace = maxpool_forward(act, PoolGeometry(window, stride))
+        grad = rng.standard_normal(pooled.shape) * 10.0 ** rng.integers(-8, 9, pooled.shape)
+        grad[rng.random(pooled.shape) < 0.3] = -0.0
+        out = maxpool_backward(grad, trace)
+        expect = maxpool_backward_oracle(
+            grad, trace.argmax_rows, trace.argmax_cols, act.shape
+        )
+        assert np.array_equal(out.view(np.int64), expect.view(np.int64))
 
     def test_shape_mismatch(self):
         act = np.zeros((1, 4, 4))

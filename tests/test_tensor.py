@@ -37,6 +37,17 @@ def sum_rows_oracle(p):
     return out
 
 
+def sum_rows_from_zero_oracle(p):
+    """Running sum down each column, started at +0.0."""
+    out = np.empty(p.shape[1])
+    for j in range(p.shape[1]):
+        acc = 0.0
+        for i in range(p.shape[0]):
+            acc += p[i, j]
+        out[j] = acc
+    return out
+
+
 def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
@@ -137,6 +148,20 @@ class TestSumRows:
     def test_all_negative_zero_column_stays_negative(self, n_cols):
         p = np.full((3, n_cols), -0.0)
         assert np.array_equal(bits(tensor.sum_rows(p)), bits(np.full(n_cols, -0.0)))
+
+    @pytest.mark.parametrize("n_cols", [1, 2])
+    def test_positive_zero_start(self, n_cols):
+        # random rows, then columns of signed zeros whose +0.0-started sum
+        # is +0.0 where the -0.0-started one keeps -0.0
+        rng = np.random.default_rng(17 + n_cols)
+        p = rng.standard_normal((500, n_cols)) * 10.0 ** rng.integers(-6, 7, (500, n_cols))
+        out = tensor.sum_rows(p, initial=0.0)
+        assert np.array_equal(bits(out), bits(sum_rows_from_zero_oracle(p)))
+        for zeros in ([-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]):
+            p = np.repeat(np.array(zeros)[:, None], n_cols, axis=1)
+            out = tensor.sum_rows(p, initial=0.0)
+            assert np.array_equal(bits(out), bits(sum_rows_from_zero_oracle(p)))
+            assert not np.signbit(out).any()
 
 
 class TestFlatten:
