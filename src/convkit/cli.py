@@ -173,7 +173,7 @@ def _load_dataset(cfg: RunConfig, class_count: int) -> Dataset:
             data = dataset_from_idx(img_path, lbl_path, class_count)
         except OSError as e:
             raise ParseError(f"cannot read IDX data: {e}") from e
-        if not data.images:
+        if len(data.images) == 0:
             raise ParseError(f"IDX data {img_path} holds no samples")
         return data
     raise ConfigError(f"data.source {source!r} must start with 'idx:' or 'bars:'")

@@ -21,30 +21,32 @@ MAX_IDX_BYTES = 1 << 31
 
 @dataclass
 class Dataset:
-    """Normalized images (1, H, W) in [0, 1] paired with one-hot labels."""
+    """Normalized images in [0, 1], one C-contiguous (N, 1, H, W) float64
+    array, paired with one-hot labels, one (N, class_count) float64 array."""
 
-    images: list[np.ndarray]
-    labels: list[np.ndarray]
+    images: np.ndarray
+    labels: np.ndarray
     class_count: int
 
     def __post_init__(self):
-        if len(self.images) != len(self.labels):
-            raise ShapeError(
-                f"{len(self.images)} images vs {len(self.labels)} labels"
-            )
+        try:
+            self.images = np.ascontiguousarray(self.images, dtype=np.float64)
+            self.labels = np.ascontiguousarray(self.labels, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise ShapeError(f"dataset fields are not numeric arrays: {e}") from None
+        n = len(self.images)
+        if len(self.labels) != n:
+            raise ShapeError(f"{n} images vs {len(self.labels)} labels")
         if self.class_count < 1:
             raise DomainError(f"class_count must be >= 1, got {self.class_count}")
-        shape = self.images[0].shape if self.images else None
-        for img in self.images:
-            if img.ndim != 3 or img.shape[0] != 1:
-                raise ShapeError(f"image shape {img.shape} is not (1, H, W)")
-            if img.shape != shape:
-                raise ShapeError(f"mixed image extents {img.shape} vs {shape}")
-        for lab in self.labels:
-            if lab.shape != (self.class_count,):
-                raise ShapeError(f"label shape {lab.shape} != ({self.class_count},)")
-            if not np.all((lab == 0.0) | (lab == 1.0)) or np.sum(lab) != 1.0:
-                raise DomainError(f"label {lab} is not one-hot")
+        if self.images.ndim != 4 or self.images.shape[1] != 1:
+            raise ShapeError(f"images shape {self.images.shape} is not (N, 1, H, W)")
+        if self.labels.shape != (n, self.class_count):
+            raise ShapeError(f"labels shape {self.labels.shape} != ({n}, {self.class_count})")
+        lab = self.labels
+        bad = ((lab != 0.0) & (lab != 1.0)).any(axis=1) | (lab.sum(axis=1) != 1.0)
+        if bad.any():
+            raise DomainError(f"label {lab[bad.argmax()]} is not one-hot")
 
 
 def _read_all(source: str | BinaryIO) -> bytes:
@@ -54,8 +56,8 @@ def _read_all(source: str | BinaryIO) -> bytes:
         return f.read()
 
 
-def load_idx_images(source: str | BinaryIO) -> list[np.ndarray]:
-    """Parse an IDX image file into raw (H, W) uint8 arrays.
+def load_idx_images(source: str | BinaryIO) -> np.ndarray:
+    """Parse an IDX image file into one read-only (N, H, W) uint8 array.
 
     Layout (all integers big-endian):
       u32   magic    0x00000803
@@ -84,13 +86,11 @@ def load_idx_images(source: str | BinaryIO) -> list[np.ndarray]:
         raise TruncationError(
             f"IDX payload holds {len(blob) - 16} bytes, header claims {need}"
         )
-    flat = np.frombuffer(blob, dtype=np.uint8, offset=16)
-    return [flat[i * rows * cols : (i + 1) * rows * cols].reshape(rows, cols).copy()
-            for i in range(count)]
+    return np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(count, rows, cols)
 
 
-def load_idx_labels(source: str | BinaryIO) -> list[int]:
-    """Parse an IDX label file into class indices.
+def load_idx_labels(source: str | BinaryIO) -> np.ndarray:
+    """Parse an IDX label file into a read-only uint8 array of class indices.
 
     Layout (big-endian):
       u32   magic    0x00000801
@@ -114,7 +114,7 @@ def load_idx_labels(source: str | BinaryIO) -> list[int]:
         raise TruncationError(
             f"IDX payload holds {len(blob) - 8} labels, header claims {count}"
         )
-    return [int(b) for b in blob[8:]]
+    return np.frombuffer(blob, dtype=np.uint8, offset=8)
 
 
 def load_pgm(source: str | BinaryIO) -> np.ndarray:
@@ -197,14 +197,11 @@ def dataset_from_idx(
     indices = load_idx_labels(label_source)
     if len(raws) != len(indices):
         raise ParseError(f"{len(raws)} images but {len(indices)} labels")
-    for i in indices:
-        if not 0 <= i < class_count:
-            raise DomainError(f"label {i} outside [0, {class_count})")
-    return Dataset(
-        images=[normalize(r) for r in raws],
-        labels=[one_hot(i, class_count) for i in indices],
-        class_count=class_count,
-    )
+    outside = indices[indices >= class_count]
+    if outside.size:
+        raise DomainError(f"label {outside[0]} outside [0, {class_count})")
+    labels = (indices[:, None] == np.arange(class_count)).astype(np.float64)
+    return Dataset(images=raws[:, None] / 255.0, labels=labels, class_count=class_count)
 
 
 def synth_bars(n: int, h: int, w: int, seed: int) -> Dataset:
@@ -219,15 +216,12 @@ def synth_bars(n: int, h: int, w: int, seed: int) -> Dataset:
         raise DomainError(f"sample count must be even and >= 2, got {n}")
     check_shape((n, h, w))  # before any image is allocated
     rng = np.random.Generator(np.random.PCG64(seed))
-    images = []
-    labels = []
-    for k in range(n):
-        img = rng.uniform(0.0, 0.1, size=(h, w))
+    images = np.empty((n, 1, h, w))
+    labels = np.repeat(np.eye(2), n // 2, axis=0)
+    for k, img in enumerate(images[:, 0]):
+        img[...] = rng.uniform(0.0, 0.1, size=(h, w))
         if k < n // 2:
             img[int(rng.integers(0, h)), :] = 1.0
-            labels.append(one_hot(0, 2))
         else:
             img[:, int(rng.integers(0, w))] = 1.0
-            labels.append(one_hot(1, 2))
-        images.append(img[None, :, :])
     return Dataset(images=images, labels=labels, class_count=2)

@@ -45,7 +45,7 @@ class TestIdxImages:
         b = np.array([[250, 251], [252, 253]], dtype=np.uint8)
         blob = write_idx_images([a, b])
         imgs = load_idx_images(io.BytesIO(blob))
-        assert len(imgs) == 2
+        assert imgs.shape == (2, 2, 2) and imgs.dtype == np.uint8
         assert np.array_equal(imgs[0], a)
         assert np.array_equal(imgs[1], b)
 
@@ -76,11 +76,17 @@ class TestIdxImages:
         with pytest.raises(TruncationError):
             load_idx_images(io.BytesIO(b"\x00\x00\x08"))
 
+    def test_empty_file_is_zero_images(self):
+        imgs = load_idx_images(io.BytesIO(struct.pack(">IIII", 0x00000803, 0, 3, 4)))
+        assert imgs.shape == (0, 3, 4)
+
 
 class TestIdxLabels:
     def test_hand_built_fixture(self):
         blob = write_idx_labels([3, 1, 4, 1])
-        assert load_idx_labels(io.BytesIO(blob)) == [3, 1, 4, 1]
+        labels = load_idx_labels(io.BytesIO(blob))
+        assert labels.dtype == np.uint8
+        assert labels.tolist() == [3, 1, 4, 1]
 
     def test_image_magic_rejected(self):
         a = np.zeros((2, 2), dtype=np.uint8)
@@ -117,6 +123,24 @@ class TestIdxRoundTrip:
             assert np.array_equal(a, b)
         for a, b in zip(ds.labels, again.labels):
             assert np.array_equal(a, b)
+
+    def test_bit_identical_to_per_sample_oracle(self):
+        # the arrays hold the bits that normalize/one_hot give one sample
+        # at a time
+        rng = np.random.default_rng(51)
+        raws = rng.integers(0, 256, size=(7, 5, 3)).astype(np.uint8)
+        labels = [int(k) for k in rng.integers(0, 4, size=7)]
+        ds = dataset_from_idx(
+            io.BytesIO(write_idx_images(raws)),
+            io.BytesIO(write_idx_labels(labels)),
+            class_count=4,
+        )
+        assert ds.images.shape == (7, 1, 5, 3) and ds.labels.shape == (7, 4)
+        assert ds.images.flags.c_contiguous and ds.images.dtype == np.float64
+        want_images = np.stack([normalize(r) for r in raws])
+        want_labels = np.stack([one_hot(k, 4) for k in labels])
+        assert ds.images.tobytes() == want_images.tobytes()
+        assert ds.labels.tobytes() == want_labels.tobytes()
 
 
 class TestPgm:
@@ -182,6 +206,24 @@ class TestSynthBars:
         for x, y in zip(a.images, b.images):
             assert np.array_equal(x, y)
 
+    def test_bit_identical_to_per_sample_oracle(self):
+        # one RNG draw sequence per sample: noise plane, then bar position
+        n, h, w = 6, 5, 7
+        rng = np.random.Generator(np.random.PCG64(8))
+        images, labels = [], []
+        for k in range(n):
+            img = rng.uniform(0.0, 0.1, size=(h, w))
+            if k < n // 2:
+                img[int(rng.integers(0, h)), :] = 1.0
+            else:
+                img[:, int(rng.integers(0, w))] = 1.0
+            images.append(img[None])
+            labels.append(one_hot(int(k >= n // 2), 2))
+        ds = synth_bars(n, h, w, seed=8)
+        assert ds.images.shape == (n, 1, h, w) and ds.images.flags.c_contiguous
+        assert ds.images.tobytes() == np.stack(images).tobytes()
+        assert ds.labels.tobytes() == np.stack(labels).tobytes()
+
     def test_intensity_structure(self):
         ds = synth_bars(20, 8, 8, seed=6)
         for img in ds.images:
@@ -238,18 +280,53 @@ class TestDatasetInvariants:
             )
 
     def test_mixed_extents(self):
-        with pytest.raises(ShapeError):
-            Dataset(
-                images=[np.zeros((1, 2, 2)), np.zeros((1, 3, 3))],
-                labels=[one_hot(0, 2), one_hot(1, 2)],
-                class_count=2,
-            )
+        labels = np.eye(2)
+        # a list of mixed extents, and inputs that are not (N, 1, H, W)
+        for images in (
+            [np.zeros((1, 2, 2)), np.zeros((1, 3, 3))],
+            np.zeros((2, 2, 2)),
+            np.zeros((2, 3, 2, 2)),
+            np.zeros((2, 1, 2, 2, 1)),
+            [],
+            None,
+            "images",
+            [np.zeros((1, 2, 2)), "x"],
+            {"a": 1},
+        ):
+            with pytest.raises(ShapeError):
+                Dataset(images=images, labels=labels, class_count=2)
+
+    def test_labels_not_n_by_k(self):
+        images = np.zeros((2, 1, 2, 2))
+        for labels in ([[1.0, 0.0], [1.0]], np.ones(2), np.eye(2)[:, :, None],
+                       np.eye(3)[:2], None, [one_hot(0, 2), "x"]):
+            with pytest.raises(ShapeError):
+                Dataset(images=images, labels=labels, class_count=2)
+
+    def test_class_count_below_one(self):
+        with pytest.raises(DomainError, match="class_count"):
+            Dataset(images=np.zeros((0, 1, 2, 2)), labels=np.zeros((0, 0)),
+                    class_count=0)
+
+    def test_second_label_not_one_hot(self):
+        for bad in ([1.0, 1.0], [0.0, 0.0], [np.nan, 1.0], [-1.0, 2.0]):
+            with pytest.raises(DomainError, match="not one-hot"):
+                Dataset(images=np.zeros((2, 1, 2, 2)), labels=[one_hot(0, 2), bad],
+                        class_count=2)
+
+    def test_stored_as_contiguous_float_arrays(self):
+        # array-likes are converted; a strided view becomes a C-contiguous copy
+        images = np.zeros((4, 1, 3, 6))[:, :, :, ::2]
+        ds = Dataset(images=images, labels=[one_hot(1, 2)] * 4, class_count=2)
+        assert ds.images.flags.c_contiguous and ds.images.dtype == np.float64
+        assert ds.labels.shape == (4, 2) and ds.labels.dtype == np.float64
+        assert ds.images[3].shape == (1, 3, 3)
 
     def test_label_out_of_range_in_idx(self):
         a = np.zeros((2, 2), dtype=np.uint8)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"label 7 outside \[0, 2\)"):
             dataset_from_idx(
-                io.BytesIO(write_idx_images([a])),
-                io.BytesIO(write_idx_labels([7])),
+                io.BytesIO(write_idx_images([a, a])),
+                io.BytesIO(write_idx_labels([1, 7])),
                 class_count=2,
             )

@@ -461,7 +461,7 @@ class TestTrain:
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_empty_dataset_rejected(self):
-        data = Dataset(images=[], labels=[], class_count=2)
+        data = Dataset(images=np.zeros((0, 1, 8, 8)), labels=np.zeros((0, 2)), class_count=2)
         cfg = nm.TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, rng_seed=0)
         with pytest.raises(DomainError):
             nm.train(fixture_net(20), data, cfg)
@@ -527,7 +527,8 @@ class TestEvaluate:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DomainError):
-            nm.evaluate(fixture_net(22), Dataset(images=[], labels=[], class_count=2))
+            nm.evaluate(fixture_net(22), Dataset(
+                images=np.zeros((0, 1, 8, 8)), labels=np.zeros((0, 2)), class_count=2))
 
     def test_overflowing_parameters_raise_without_warnings(self):
         net = fixture_net(23)
