@@ -62,8 +62,8 @@ def load_idx_images(source: str | BinaryIO) -> np.ndarray:
     Layout (all integers big-endian):
       u32   magic    0x00000803
       u32   image count
-      u32   row count
-      u32   column count
+      u32   row count (>= 1)
+      u32   column count (>= 1)
       u8[]  pixels, row-major per image
     """
     blob = _read_all(source)
@@ -77,6 +77,8 @@ def load_idx_images(source: str | BinaryIO) -> np.ndarray:
     if len(blob) < 16:
         raise TruncationError(f"IDX image header needs 16 bytes, have {len(blob)}")
     count, rows, cols = struct.unpack(">III", blob[4:16])
+    if rows < 1 or cols < 1:
+        raise ParseError(f"IDX image extents {rows}x{cols} must be positive")
     if count * rows * cols > MAX_IDX_BYTES:
         raise ParseError(
             f"IDX dimensions overflow: {count} x {rows} x {cols} bytes claimed"

@@ -435,6 +435,22 @@ class TestIdxSource:
         assert not (tmp_path / "m.cnnf").exists()
         assert not (tmp_path / "m.csv").exists()
 
+    def test_zero_row_idx_is_data_error(self, tmp_path, capsys):
+        img_path = tmp_path / "flat-imgs.idx"
+        lbl_path = tmp_path / "flat-lbls.idx"
+        img_path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 0, 8))
+        lbl_path.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([0, 1]))
+        cfg = write_config(
+            tmp_path, "idx.cfg", drop="data.source",
+            extra=f"data.source=idx:{img_path},{lbl_path}",
+            out_model=str(tmp_path / "m.cnnf"),
+            out_csv=str(tmp_path / "m.csv"),
+        )
+        assert main(["train", cfg]) == 2
+        assert "extents 0x8" in capsys.readouterr().err
+        assert not (tmp_path / "m.cnnf").exists()
+        assert not (tmp_path / "m.csv").exists()
+
     def test_missing_idx_file_is_data_error(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "idx.cfg", drop="data.source",

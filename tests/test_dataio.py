@@ -76,6 +76,12 @@ class TestIdxImages:
         with pytest.raises(TruncationError):
             load_idx_images(io.BytesIO(b"\x00\x00\x08"))
 
+    @pytest.mark.parametrize("count, rows, cols", [(3, 0, 4), (3, 4, 0), (10**6, 0, 0)])
+    def test_zero_extents_rejected(self, count, rows, cols):
+        header = struct.pack(">IIII", 0x00000803, count, rows, cols)
+        with pytest.raises(ParseError, match="extents"):
+            load_idx_images(io.BytesIO(header))
+
     def test_empty_file_is_zero_images(self):
         imgs = load_idx_images(io.BytesIO(struct.pack(">IIII", 0x00000803, 0, 3, 4)))
         assert imgs.shape == (0, 3, 4)
