@@ -164,14 +164,16 @@ class ForwardTrace:
 
 
 def _taps(image: np.ndarray, g: ConvGeometry, h1: int, w1: int) -> np.ndarray:
-    """Read-only (in_c, k_h, k_w, h1, w1) view of the zero-padded image:
-    entry [c, u, v] is the strided window that tap (c, u, v) multiplies."""
+    """Read-only (in_c, k_h, k_w, h1, w1) view of the zero-padded C-order
+    image: entry [c, u, v] is the strided window that tap (c, u, v) multiplies."""
     if g.pad:
         image = np.pad(image, ((0, 0), (g.pad, g.pad), (g.pad, g.pad)))
     sc, sh, sw = image.strides
     shape = (g.in_c, g.k_h, g.k_w, h1, w1)
     strides = (sc, sh, sw, sh * g.stride, sw * g.stride)
-    return np.lib.stride_tricks.as_strided(image, shape, strides, writeable=False)
+    taps = np.ndarray(shape, np.float64, buffer=image, strides=strides)
+    taps.flags.writeable = False
+    return taps
 
 
 def conv_forward(
@@ -186,7 +188,7 @@ def conv_forward(
     Returns the pre-activation feature maps, the activated maps, and the
     trace caching the input image and pre-activation.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = np.ascontiguousarray(image, dtype=np.float64)
     g = bank.geometry
     if image.shape != (g.in_c, g.in_h, g.in_w):
         raise ShapeError(f"image shape {image.shape} != {(g.in_c, g.in_h, g.in_w)}")
@@ -270,7 +272,7 @@ def conv_backward(
     g = bank.geometry
     if g.stride != 1:
         raise UnsupportedError("conv backward supports stride 1 only")
-    image = np.asarray(image, dtype=np.float64)
+    image = np.ascontiguousarray(image, dtype=np.float64)
     grad_preact = np.asarray(grad_preact, dtype=np.float64)
     if image.shape != (g.in_c, g.in_h, g.in_w):
         raise ShapeError(f"image shape {image.shape} != {(g.in_c, g.in_h, g.in_w)}")

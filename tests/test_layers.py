@@ -13,6 +13,7 @@ from convkit.layers import (
     PoolGeometry,
     conv_backward,
     conv_forward,
+    _taps,
     conv_output_dims,
     dense_backward,
     dense_forward,
@@ -294,6 +295,31 @@ class TestConvForward:
         b, _, _ = conv_forward(image, bank, RELU)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("stride, pad", [(1, 0), (2, 0), (1, 1)])
+    def test_non_contiguous_image_same_bits(self, stride, pad):
+        rng = np.random.default_rng(26)
+        bank = random_bank(rng, 7, 7, 2, 3, 3, stride, pad)
+        image = rng.standard_normal((2, 7, 7))
+        want, _, _ = conv_forward(image, bank, RELU)
+        read_only = image.copy()
+        read_only.flags.writeable = False
+        row_gaps = np.pad(image, ((0, 0), (0, 0), (0, 1)))[..., :-1]
+        for view in (np.asfortranarray(image), row_gaps,
+                     np.stack([image, image], axis=-1)[..., 1], read_only):
+            got, _, trace = conv_forward(view, bank, RELU)
+            assert got.tobytes() == want.tobytes()
+            assert trace.input.tobytes() == image.tobytes()
+
+    def test_tap_view_read_only(self):
+        image = np.arange(2 * 5 * 5, dtype=np.float64).reshape(2, 5, 5)
+        g = ConvGeometry(5, 5, 2, 3, 3, 1)
+        taps = _taps(image, g, 3, 3)
+        assert taps.shape == (2, 3, 3, 3, 3) and not taps.flags.writeable
+        assert np.shares_memory(taps, image)
+        with pytest.raises(ValueError):
+            taps[0, 0, 0, 0, 0] = 1.0
+        assert taps[1, 2, 1, 0, 2] == image[1, 2, 3]
+
 
 class TestConvBackward:
     def test_zero_grad_gives_zero(self):
@@ -358,6 +384,16 @@ class TestConvBackward:
             grad = rng.standard_normal((n_kernels, h1, h1))
             gk, _ = conv_backward(grad, image, bank)
             assert np.array_equal(gk, conv_backward_oracle(grad, image, gk.shape, pad))
+
+    def test_non_contiguous_image_same_bits(self):
+        rng = np.random.default_rng(32)
+        image = rng.standard_normal((2, 6, 6))
+        bank = random_bank(rng, 6, 6, 2, 3, 2)
+        grad = rng.standard_normal((2, 4, 4))
+        want = conv_backward(grad, image, bank)
+        for view in (np.asfortranarray(image), np.stack([image, image], axis=-1)[..., 0]):
+            got = conv_backward(grad, view, bank)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     def test_stride_unsupported(self):
         rng = np.random.default_rng(29)
