@@ -284,6 +284,11 @@ class TestDatasetInvariants:
                 labels=[np.array([0.5, 0.5])],
                 class_count=2,
             )
+        # a bad row after a good one is found too
+        for bad in ([1.0, 1.0], [0.0, 0.0], [np.nan, 1.0], [-1.0, 2.0]):
+            with pytest.raises(DomainError, match="not one-hot"):
+                Dataset(images=np.zeros((2, 1, 2, 2)), labels=[one_hot(0, 2), bad],
+                        class_count=2)
 
     def test_mixed_extents(self):
         labels = np.eye(2)
@@ -314,12 +319,6 @@ class TestDatasetInvariants:
             Dataset(images=np.zeros((0, 1, 2, 2)), labels=np.zeros((0, 0)),
                     class_count=0)
 
-    def test_second_label_not_one_hot(self):
-        for bad in ([1.0, 1.0], [0.0, 0.0], [np.nan, 1.0], [-1.0, 2.0]):
-            with pytest.raises(DomainError, match="not one-hot"):
-                Dataset(images=np.zeros((2, 1, 2, 2)), labels=[one_hot(0, 2), bad],
-                        class_count=2)
-
     def test_stored_as_contiguous_float_arrays(self):
         # array-likes are converted; a strided view becomes a C-contiguous copy
         images = np.zeros((4, 1, 3, 6))[:, :, :, ::2]
@@ -330,9 +329,11 @@ class TestDatasetInvariants:
 
     def test_label_out_of_range_in_idx(self):
         a = np.zeros((2, 2), dtype=np.uint8)
-        with pytest.raises(DomainError, match=r"label 7 outside \[0, 2\)"):
-            dataset_from_idx(
-                io.BytesIO(write_idx_images([a, a])),
-                io.BytesIO(write_idx_labels([1, 7])),
-                class_count=2,
-            )
+        # the first label outside the range is named, class_count included
+        for labels, first in (([1, 7], 7), ([1, 2, 0, 9], 2)):
+            with pytest.raises(DomainError, match=rf"label {first} outside \[0, 2\)"):
+                dataset_from_idx(
+                    io.BytesIO(write_idx_images([a] * len(labels))),
+                    io.BytesIO(write_idx_labels(labels)),
+                    class_count=2,
+                )
