@@ -1,7 +1,10 @@
-"""Golden sha256 digests of the model file and metrics CSV of `convkit
-train` runs beyond the acceptance suite's criterion-7 config: 10 classes
-at 28x28 read through the real `idx:` path with a short last batch, and
-bars with a padded conv and one sample per batch.
+"""Golden outputs beyond the acceptance suite's criterion-7 config.
+
+* sha256 digests of the model file and metrics CSV of `convkit train`
+  runs: 10 classes at 28x28 read through the real `idx:` path with a
+  short last batch, and bars with a padded conv and one sample per batch.
+* Every field of every ``GroupResult`` that ``check_network`` reports for
+  three fixed nets and samples, one of them with excluded perturbations.
 
 The pins hold only on the platform they were measured on (see
 ``test_acceptance.GOLDEN_PLATFORM``); elsewhere each run still has to
@@ -13,7 +16,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from convkit import network as nm
 from convkit.cli import main
+from convkit.dataio import one_hot, synth_bars
+from convkit.gradcheck import check_network
+from convkit.layers import ConvGeometry, PoolGeometry
 
 from test_acceptance import golden_skip_reason
 from test_dataio import write_idx_images, write_idx_labels
@@ -74,3 +81,73 @@ def test_train_digests(tmp_path, case):
         pytest.skip(reason)
     assert hashlib.sha256(model_path.read_bytes()).hexdigest() == model_sha
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
+
+
+README_ARCH = nm.Architecture(ConvGeometry(8, 8, 1, 3, 3, 6), PoolGeometry(2, 2), (32, 2))
+TEN_CLASS_ARCH = nm.Architecture(ConvGeometry(8, 8, 1, 3, 3, 4), PoolGeometry(2, 2), (16, 10))
+
+
+def readme_bars0():
+    data = synth_bars(200, 8, 8, seed=42)
+    return nm.init(README_ARCH, 42), (data.images[0], data.labels[0])
+
+
+def ten_class():
+    image = synth_bars(2, 8, 8, seed=7).images[0]
+    return nm.init(TEN_CLASS_ARCH, 7), (image, one_hot(3, 10))
+
+
+def readme_zero_image():
+    # Every conv pre-activation is the zero bias: each bias perturbation
+    # flips the ReLU decisions between its two runs and is excluded.
+    return nm.init(README_ARCH, 42), (np.zeros((1, 8, 8)), one_hot(0, 2))
+
+
+# (group, max_rel_err, mean_rel_err, argmax_coord, n_checked, n_excluded, passed)
+GRADCHECK_CASES = {
+    "readme-bars-sample0": (readme_bars0, [
+        ("conv.kernels", 9.194503581797433e-08, 4.771051997781281e-09, (0, 0, 2, 0), 54, 0, True),
+        ("conv.biases", 9.060106067297089e-10, 3.8543064868079213e-10, (2,), 6, 0, True),
+        ("dense[0].W", 2.9306003312855654e-07, 1.7819562541554681e-09, (25, 43), 1728, 0, True),
+        ("dense[0].b", 9.978913749125722e-10, 1.2278804533334973e-10, (6,), 32, 0, True),
+        ("dense[1].W", 1.5707526906838684e-09, 1.3474282639836393e-10, (0, 4), 64, 0, True),
+        ("dense[1].b", 1.0554768088759583e-11, 8.532042112941927e-12, (1,), 2, 0, True),
+    ]),
+    "ten-class": (ten_class, [
+        ("conv.kernels", 2.0029090605417507e-07, 1.5181208067962068e-08, (3, 0, 2, 1), 36, 0, True),
+        ("conv.biases", 1.7874681463050298e-08, 5.628756152055962e-09, (2,), 4, 0, True),
+        ("dense[0].W", 2.6037485366742514e-07, 4.2093904065256454e-09, (2, 29), 576, 0, True),
+        ("dense[0].b", 3.0849592349296203e-10, 6.490901134107893e-11, (0,), 16, 0, True),
+        ("dense[1].W", 2.3645484001925e-09, 1.7504221942424547e-10, (4, 2), 160, 0, True),
+        ("dense[1].b", 1.3052107219644715e-10, 4.68256670398695e-11, (5,), 10, 0, True),
+    ]),
+    "readme-zero-image": (readme_zero_image, [
+        ("conv.kernels", 0.0, 0.0, (0, 0, 0, 0), 54, 0, True),
+        ("conv.biases", 0.0, 0.0, (), 0, 6, True),
+        ("dense[0].W", 0.0, 0.0, (0, 0), 1728, 0, True),
+        ("dense[0].b", 0.0, 0.0, (), 0, 32, True),
+        ("dense[1].W", 0.0, 0.0, (0, 0), 64, 0, True),
+        ("dense[1].b", 1.565336749109747e-11, 1.1102285757381338e-11, (1,), 2, 0, True),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRADCHECK_CASES))
+def test_gradcheck_report_pins(case):
+    build, want = GRADCHECK_CASES[case]
+    net, sample = build()
+    before = net.params.copy()
+    report = check_network(net, sample)
+    assert report.passed
+    assert np.array_equal(net.params, before)
+    reason = golden_skip_reason()
+    if reason:
+        pytest.skip(reason)
+    got = [
+        (g.group, g.max_rel_err, g.mean_rel_err, g.argmax_coord, g.n_checked,
+         g.n_excluded, g.passed)
+        for g in report.groups
+    ]
+    # == on floats is exact, and the argmax coordinates must be plain ints.
+    assert got == want
+    assert all(type(i) is int for g in report.groups for i in g.argmax_coord)
