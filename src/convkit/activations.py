@@ -21,13 +21,10 @@ class ActivationKind(IntEnum):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split on sign so exp never overflows.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e = exp(-|z|) never overflows: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z)
+    # below. min(z, -z) rather than -|z| hands a NaN through with its sign.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ error statistics and counted separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,23 +103,19 @@ class GradReport:
         return "\n".join(lines)
 
 
-def _decision_pattern(net: net_mod.Network, traces) -> tuple[np.ndarray, ...]:
+def _decision_pattern(net: net_mod.Network, traces) -> bytes:
     """Branch decisions of one forward run: piecewise-activation signs and
-    pool winner coordinates."""
-    parts: list[np.ndarray] = []
+    pool winner coordinates, as the concatenated bytes of their arrays.
+    Every part has a size fixed by the network, so two runs made the same
+    decisions exactly when their patterns are equal."""
     conv_trace, pool_trace = traces[0], traces[1]
+    parts = [pool_trace.argmax_rows, pool_trace.argmax_cols]
     if net.conv_activation in _PIECEWISE:
         parts.append(conv_trace.preact >= 0)
-    parts.append(pool_trace.argmax_rows)
-    parts.append(pool_trace.argmax_cols)
     for layer, trace in zip(net.dense, traces[2:]):
         if layer.activation in _PIECEWISE:
             parts.append(trace.preact >= 0)
-    return tuple(parts)
-
-
-def _patterns_equal(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> bool:
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
+    return b"".join(p.tobytes() for p in parts)
 
 
 def check_network(
@@ -139,21 +136,21 @@ def check_network(
         raise DomainError(f"h_rel must be in (0, 1e-3], got {h_rel}")
     image, label = sample
 
-    def run() -> tuple[float, tuple[np.ndarray, ...]]:
+    def run() -> tuple[float, bytes]:
         yhat, traces = net_mod.forward(net, image)
         value = loss(LossKind.CROSS_ENTROPY, yhat, label)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DomainError("loss is not finite")
         return value, _decision_pattern(net, traces)
 
     _, traces = net_mod.forward(net, image)
-    analytic = net_mod.backward(net, traces, label)
+    analytic = net_mod.backward(net, traces, label).tolist()
     params = net.params
 
     results = []
     for name, group, shape in net_mod.param_groups(net):
         errors: list[float] = []
-        coords: list[tuple[int, ...]] = []
+        checked: list[int] = []
         n_excluded = 0
         for idx in range(group.start, group.stop):
             theta = params[idx]
@@ -165,15 +162,18 @@ def check_network(
                 loss_lo, pat_lo = run()
             finally:
                 params[idx] = theta
-            if not _patterns_equal(pat_hi, pat_lo):
+            if pat_hi != pat_lo:
                 n_excluded += 1
                 continue
             numeric = (loss_hi - loss_lo) / (2.0 * h)
             errors.append(relative_error(analytic[idx], numeric))
-            coords.append(tuple(int(i) for i in np.unravel_index(idx - group.start, shape)))
+            checked.append(idx - group.start)
         max_err = max(errors) if errors else 0.0
         mean_err = sum(errors) / len(errors) if errors else 0.0
-        argmax = coords[errors.index(max_err)] if errors else ()
+        argmax = ()
+        if errors:
+            flat = checked[errors.index(max_err)]
+            argmax = tuple(int(i) for i in np.unravel_index(flat, shape))
         results.append(
             GroupResult(
                 group=name,

@@ -208,31 +208,35 @@ def conv_forward(
 def maxpool_forward(
     act: np.ndarray, g: PoolGeometry
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Keep the maximum of each window, remembering where it came from."""
+    """Keep the maximum of each window, remembering where it came from.
+
+    The k*k window planes are one read-only strided view of the C-order
+    input, copied by a single reshape into rows stacked in row-major
+    (du, dv) order, so argmax's first-maximum rule is exactly the
+    tie-break contract. The pooled value is the winner itself, gathered
+    from those rows with its exact bits.
+    """
     act = np.asarray(act, dtype=np.float64)
     if act.ndim != 3:
         raise ShapeError(f"maxpool expects rank 3, got rank {act.ndim}")
+    act = np.ascontiguousarray(act)
     d1, h1, w1 = act.shape
     h2, w2, d2 = pool_output_dims(h1, w1, d1, g)
     s, k = g.stride, g.window
-    # One plane per window offset, stacked in row-major (du, dv) order so
-    # argmax's first-maximum rule is exactly the tie-break contract.
-    planes = np.empty((k * k, d2, h2, w2))
-    for du in range(k):
-        for dv in range(k):
-            planes[du * k + dv] = act[:, du : du + (h2 - 1) * s + 1 : s,
-                                      dv : dv + (w2 - 1) * s + 1 : s]
-    flat_win = np.argmax(planes, axis=0)
+    sc, sh, sw = act.strides
+    view = np.ndarray((k, k, d2, h2, w2), np.float64, buffer=act,
+                      strides=(sh, sw, sc, sh * s, sw * s))
+    view.flags.writeable = False
+    planes = view.reshape(k * k, -1)
+    flat_win = planes.argmax(axis=0)
     # Gather the winners themselves (not planes.max, which may return the
     # other zero of a -0.0/0.0 tie or a different NaN).
-    pooled = planes.reshape(k * k, -1)[flat_win.ravel(), np.arange(flat_win.size)]
-    pooled = pooled.reshape(flat_win.shape)
-    base_r = np.arange(h2)[None, :, None] * s
-    base_c = np.arange(w2)[None, None, :] * s
+    pooled = planes[flat_win, np.arange(flat_win.size)].reshape(d2, h2, w2)
+    du, dv = np.divmod(flat_win.reshape(d2, h2, w2), k)
     trace = ForwardTrace(
         input=act,
-        argmax_rows=base_r + flat_win // k,
-        argmax_cols=base_c + flat_win % k,
+        argmax_rows=np.arange(0, h2 * s, s)[:, None] + du,
+        argmax_cols=np.arange(0, w2 * s, s) + dv,
     )
     return pooled, trace
 
@@ -317,8 +321,8 @@ def dense_backward(
     if layer.activation == ActivationKind.SOFTMAX:
         raise UnsupportedError("cannot backpropagate through softmax")
     delta = grad_a * derivative(layer.activation, trace.preact)
-    grad_w = np.outer(delta, trace.input)
-    grad_b = delta.copy()
+    grad_w = delta[:, None] * trace.input
+    grad_b = delta
     # Ascending-i accumulation for W^T delta keeps runs bit-reproducible.
     grad_a_prev = tensor.sum_rows(np.multiply(layer.weights, delta[:, None], order="C"))
     return grad_w, grad_b, grad_a_prev

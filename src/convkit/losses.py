@@ -39,7 +39,7 @@ def _check_pair(yhat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _check_binary_labels(y: np.ndarray) -> None:
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise DomainError("cross-entropy labels must be exactly 0 or 1")
 
 
@@ -47,6 +47,10 @@ def loss(kind: LossKind, yhat: np.ndarray, y: np.ndarray) -> float:
     """Scalar loss between predictions ``yhat`` and labels ``y``."""
     yhat, y = _check_pair(yhat, y)
     t = y.shape[0]
+    if kind == LossKind.CROSS_ENTROPY:
+        _check_binary_labels(y)
+        yc = np.minimum(np.maximum(yhat, CE_EPS), 1.0 - CE_EPS)
+        return float(-(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc)).sum() / t)
     if kind == LossKind.MSE:
         return float(np.sum((y - yhat) ** 2) / t)
     if kind == LossKind.MSLE:
@@ -63,10 +67,6 @@ def loss(kind: LossKind, yhat: np.ndarray, y: np.ndarray) -> float:
         if np.any(y == 0.0):
             raise DomainError("MAPE is undefined when a label is zero")
         return float(np.sum(np.abs((y - yhat) / y)) * 100.0 / t)
-    if kind == LossKind.CROSS_ENTROPY:
-        _check_binary_labels(y)
-        yc = np.clip(yhat, CE_EPS, 1.0 - CE_EPS)
-        return float(-np.sum(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc)) / t)
     raise DomainError(f"unknown loss kind {kind!r}")
 
 
@@ -79,5 +79,5 @@ def ce_grad(yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
     yhat, y = _check_pair(yhat, y)
     _check_binary_labels(y)
     t = y.shape[0]
-    yc = np.clip(yhat, CE_EPS, 1.0 - CE_EPS)
+    yc = np.minimum(np.maximum(yhat, CE_EPS), 1.0 - CE_EPS)
     return (-y / yc + (1.0 - y) / (1.0 - yc)) / t

@@ -186,7 +186,7 @@ def forward(net: Network, image: np.ndarray) -> tuple[np.ndarray, list[ForwardTr
     """
     _, act, conv_trace = conv_forward(image, net.bank, net.conv_activation)
     pooled, pool_trace = maxpool_forward(act, net.pool)
-    a = tensor.flatten(pooled)
+    a = pooled.reshape(-1)
     traces = [conv_trace, pool_trace]
     for layer in net.dense:
         _, a, t = dense_forward(a, layer)
@@ -210,8 +210,7 @@ def backward(net: Network, traces: list[ForwardTrace], y: np.ndarray) -> np.ndar
     for layer, trace in zip(reversed(net.dense), reversed(traces[2:])):
         gw, gb, grad = dense_backward(grad, layer, trace)
         dense_grads[:0] = [gw.ravel(), gb]
-    pooled_shape = pool_trace.argmax_rows.shape
-    grad_act = maxpool_backward(tensor.unflatten(grad, pooled_shape), pool_trace)
+    grad_act = maxpool_backward(grad.reshape(pool_trace.argmax_rows.shape), pool_trace)
     grad_preact = grad_act * derivative(net.conv_activation, conv_trace.preact)
     gk, gcb = conv_backward(grad_preact, conv_trace.input, net.bank)
     return np.concatenate([gk.ravel(), gcb, *dense_grads])
@@ -307,7 +306,7 @@ def evaluate(net: Network, data: Dataset) -> tuple[float, float]:
         for image, label in zip(data.images, data.labels):
             yhat, _ = forward(net, image)
             total += loss(LossKind.CROSS_ENTROPY, yhat, label)
-            if int(np.argmax(yhat)) == int(np.argmax(label)):
+            if yhat.argmax() == label.argmax():
                 correct += 1
     n = len(data.images)
     if not math.isfinite(total / n):

@@ -103,3 +103,48 @@ class TestProperties:
         grid = np.linspace(-6.0, 6.0, 101)
         out = apply(kind, grid)
         assert np.all(np.diff(out) > 0)
+
+
+def split_sign_sigmoid_oracle(z):
+    """The earlier sigmoid, which splits on sign so exp never overflows,
+    kept as a bit-level oracle for the one-formula version."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def sigmoid_probe_values():
+    rng = np.random.default_rng(47)
+    tiny = np.finfo(np.float64).tiny
+    special = [
+        0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
+        5e-324, -5e-324, 1e-310, -1e-310, tiny, -tiny, tiny / 2, -tiny / 2,
+        36.7, -36.7, 709.8, -709.8,
+    ]
+    # Quiet NaNs of both signs, with and without a payload.
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                     0x7FF8000000000123, 0xFFF8000000000456],
+                    dtype=np.uint64).view(np.float64)
+    return np.concatenate([rng.standard_normal(20_000) * 30.0, special, nans])
+
+
+class TestSigmoidBits:
+    @pytest.mark.parametrize("shape", [(-1,), (4, 2, -1)])
+    def test_apply_bit_identical_to_split_sign(self, shape):
+        z = sigmoid_probe_values().reshape(shape)
+        got = apply(ActivationKind.SIGMOID, z)
+        assert got.shape == z.shape
+        assert got.tobytes() == split_sign_sigmoid_oracle(z).tobytes()
+
+    def test_derivative_bit_identical_to_split_sign(self):
+        z = sigmoid_probe_values()
+        s = split_sign_sigmoid_oracle(z)
+        got = derivative(ActivationKind.SIGMOID, z)
+        assert got.tobytes() == (s * (1.0 - s)).tobytes()
+
+    def test_no_overflow_warning(self):
+        with np.errstate(over="raise"):
+            apply(ActivationKind.SIGMOID, np.array([-800.0, 800.0, -np.inf, np.inf]))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,12 @@ import pytest
 from convkit import network as nm
 from convkit.dataio import one_hot
 from convkit.errors import DomainError
-from convkit.gradcheck import central_diff, check_network, relative_error
+from convkit.gradcheck import (
+    _decision_pattern,
+    central_diff,
+    check_network,
+    relative_error,
+)
 from convkit.layers import ConvGeometry, PoolGeometry
 from convkit.layers import dense_backward as real_dense_backward
 
@@ -122,6 +128,57 @@ class TestCheckNetwork:
         for group, max_err, mean_err, excluded, ok in report.rows():
             assert max_err >= 0.0 and mean_err >= 0.0 and excluded >= 0
             assert ok == (max_err <= report.threshold)
+
+
+DEEP_ARCH = nm.Architecture(
+    conv=ConvGeometry(8, 8, 1, 3, 3, 2),
+    pool=PoolGeometry(2, 2),
+    dense_widths=(8, 4, 2),
+)
+
+
+class TestDecisionPattern:
+    """One change in any part of a run's decisions must make its pattern
+    differ; a change outside the decisions must not."""
+
+    @staticmethod
+    def traces():
+        net = nm.init(DEEP_ARCH, 9)
+        _, traces = nm.forward(net, sample(9)[0])
+        return net, traces
+
+    @staticmethod
+    def flip_sign(a, index):
+        a = a.copy()
+        a[index] = 1.0 if a[index] < 0 else -1.0
+        return a
+
+    @pytest.mark.parametrize("index", [(0, 0, 0), (1, 5, 5), (0, 3, 2)])
+    def test_each_part_changes_the_pattern(self, index):
+        net, traces = self.traces()
+        base = _decision_pattern(net, traces)
+        assert _decision_pattern(net, [replace(t) for t in traces]) == base
+        conv, pool = traces[0], traces[1]
+        pool_index = tuple(i % n for i, n in zip(index, pool.argmax_rows.shape))
+        variants = [
+            [replace(conv, preact=self.flip_sign(conv.preact, index)), *traces[1:]],
+        ]
+        for field in ("argmax_rows", "argmax_cols"):
+            moved = getattr(pool, field).copy()
+            moved[pool_index] += 1
+            variants.append([conv, replace(pool, **{field: moved}), *traces[2:]])
+        for k in (2, 3):  # the two ReLU dense layers
+            t = traces[k]
+            flipped = replace(t, preact=self.flip_sign(t.preact, index[-1] % t.preact.size))
+            variants.append([*traces[:k], flipped, *traces[k + 1:]])
+        for changed in variants:
+            assert _decision_pattern(net, changed) != base
+
+    def test_sigmoid_output_is_not_a_decision(self):
+        net, traces = self.traces()
+        last = traces[-1]
+        flipped = replace(last, preact=self.flip_sign(last.preact, 0))
+        assert _decision_pattern(net, [*traces[:-1], flipped]) == _decision_pattern(net, traces)
 
 
 class TestMutationSensitivity:

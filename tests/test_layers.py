@@ -88,6 +88,27 @@ def maxpool_oracle(act, window, stride):
     return pooled, rows, cols
 
 
+def plane_loop_maxpool_oracle(act, window, stride):
+    """The earlier maxpool_forward, which copies the k*k window planes one
+    slice assignment at a time, kept as a bit-level oracle for the
+    strided-view version."""
+    act = np.asarray(act, dtype=np.float64)
+    d1, h1, w1 = act.shape
+    h2, w2, d2 = pool_output_dims(h1, w1, d1, PoolGeometry(window, stride))
+    s, k = stride, window
+    planes = np.empty((k * k, d2, h2, w2))
+    for du in range(k):
+        for dv in range(k):
+            planes[du * k + dv] = act[:, du : du + (h2 - 1) * s + 1 : s,
+                                      dv : dv + (w2 - 1) * s + 1 : s]
+    flat_win = np.argmax(planes, axis=0)
+    pooled = planes.reshape(k * k, -1)[flat_win.ravel(), np.arange(flat_win.size)]
+    pooled = pooled.reshape(flat_win.shape)
+    rows = np.arange(h2)[None, :, None] * s + flat_win // k
+    cols = np.arange(w2)[None, None, :] * s + flat_win % k
+    return pooled, rows, cols
+
+
 def maxpool_backward_oracle(grad, rows, cols, input_shape):
     """Pooled row-major loop adding each gradient at its winner into zeros."""
     out = np.zeros(input_shape)
@@ -488,6 +509,56 @@ class TestMaxPool:
         assert zero_signs.any() and not zero_signs.all()  # both zeros win somewhere
         assert np.array_equal(pooled.view(np.int64), expect.view(np.int64))
 
+
+POOL_WINDOWS = [(2, 2, 8), (3, 2, 9), (3, 1, 7)]  # (window, stride, size)
+
+
+class TestMaxPoolPlaneLoopOracle:
+    """maxpool_forward against the plane-loop code it replaced: the pooled
+    bytes and the winner coordinates, dtype included, must be equal."""
+
+    @staticmethod
+    def check(act, window, stride):
+        pooled, trace = maxpool_forward(act, PoolGeometry(window, stride))
+        expect, rows, cols = plane_loop_maxpool_oracle(act, window, stride)
+        assert pooled.shape == expect.shape
+        assert pooled.tobytes() == expect.tobytes()
+        for got, want in ((trace.argmax_rows, rows), (trace.argmax_cols, cols)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        return pooled
+
+    @pytest.mark.parametrize("window,stride,size", POOL_WINDOWS)
+    def test_random_maps(self, window, stride, size):
+        act = np.random.default_rng(61).standard_normal((4, size, size))
+        self.check(act, window, stride)
+
+    @pytest.mark.parametrize("window,stride,size", POOL_WINDOWS)
+    def test_signed_zero_ties_from_leaky_relu(self, window, stride, size):
+        rng = np.random.default_rng(62)
+        z = rng.choice(np.array([-0.0, 0.0, -1.0, 0.5]), size=(5, size, size))
+        act = apply(ActivationKind.LEAKY_RELU, z)
+        assert np.signbit(act[act == 0.0]).any()
+        self.check(act, window, stride)
+
+    @pytest.mark.parametrize("window,stride,size", POOL_WINDOWS)
+    def test_nan_wins_its_windows(self, window, stride, size):
+        act = np.random.default_rng(63).standard_normal((2, size, size))
+        act[0, 1, 1] = np.nan
+        act[1, size - 1, 0] = -np.nan
+        pooled = self.check(act, window, stride)
+        assert np.isnan(pooled[0]).any() and np.isnan(pooled[1]).any()
+
+    @pytest.mark.parametrize("window,stride,size", POOL_WINDOWS)
+    def test_non_contiguous_input(self, window, stride, size):
+        rng = np.random.default_rng(64)
+        big = rng.choice(np.array([-0.0, 0.0, 1.0, 2.0]), size=(3, 2 * size, size + 3))
+        for act in (big[:, ::2, 2:2 + size], big[:, 1::2, :size].transpose(0, 2, 1),
+                    np.asfortranarray(big[:, :size, :size])):
+            assert not act.flags.c_contiguous
+            before = act.copy()
+            self.check(act, window, stride)
+            assert act.tobytes() == before.tobytes()
 
 class TestMaxPoolBackward:
     def test_routes_to_winner(self):
