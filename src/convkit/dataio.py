@@ -123,8 +123,10 @@ def load_pgm(source: str | BinaryIO) -> np.ndarray:
     """Parse a binary (P5) PGM into a raw (H, W) uint8 array.
 
     The header is whitespace-separated "P5 <width> <height> <maxval>",
-    tolerating '#' comments between tokens; maxval must be <= 255. One
-    whitespace byte separates maxval from the raw pixel payload.
+    tolerating '#' comments between tokens. One whitespace byte separates
+    maxval from the raw pixel payload. Only 8-bit PGMs, maxval 255, are
+    read, since ``normalize`` divides by 255; a pixel above a smaller
+    maxval is named in the error.
     """
     blob = _read_all(source)
     pos = 0
@@ -162,8 +164,9 @@ def load_pgm(source: str | BinaryIO) -> np.ndarray:
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ParseError(f"PGM extents {width}x{height} must be positive")
+    only_8_bit = f"PGM maxval {maxval}: only 8-bit PGMs (maxval 255) are read"
     if not 0 < maxval <= 255:
-        raise ParseError(f"PGM maxval {maxval} not in 1..255")
+        raise ParseError(only_8_bit)
     pos += 1  # single whitespace byte after maxval
     need = width * height
     if len(blob) - pos < need:
@@ -171,6 +174,15 @@ def load_pgm(source: str | BinaryIO) -> np.ndarray:
             f"PGM payload holds {len(blob) - pos} bytes, header claims {need}"
         )
     flat = np.frombuffer(blob, dtype=np.uint8, offset=pos, count=need)
+    if maxval != 255:
+        over = np.flatnonzero(flat > maxval)
+        if over.size:
+            i = int(over[0])
+            raise ParseError(
+                f"PGM pixel {flat[i]} at row {i // width}, column {i % width} "
+                f"exceeds maxval {maxval}"
+            )
+        raise ParseError(only_8_bit)
     return flat.reshape(height, width).copy()
 
 

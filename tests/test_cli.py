@@ -348,6 +348,20 @@ class TestPredict:
         assert main(["predict", model, missing]) == 2
         assert "absent.pgm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pixels,message", [
+        ([15, 200], "pixel 200 at row 0, column 1 exceeds maxval 15"),
+        ([15, 3], "only 8-bit PGMs"),
+    ])
+    def test_maxval_below_255_is_data_error(self, tmp_path, capsys, pixels, message):
+        model = zero_model(tmp_path)
+        image = tmp_path / "dim.pgm"
+        image.write_bytes(b"P5 8 8 15\n" + bytes(pixels) + bytes(62))
+        capsys.readouterr()
+        assert main(["predict", model, str(image)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_extent_mismatch(self, tmp_path):
         model = zero_model(tmp_path)
         image = write_pgm(tmp_path, "img.pgm", 12, 12)

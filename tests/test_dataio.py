@@ -170,6 +170,25 @@ class TestPgm:
         with pytest.raises(TruncationError):
             load_pgm(io.BytesIO(b"P5 2 2 255\n" + bytes([1, 2, 3])))
 
+    def test_first_pixel_above_maxval_named(self):
+        # Read against 255, the 200 here would pass as a valid 0.784.
+        with pytest.raises(ParseError, match=r"pixel 200 at row 0, column 1 exceeds maxval 15"):
+            load_pgm(io.BytesIO(b"P5 2 1 15\n" + bytes([15, 200])))
+        blob = b"P5 3 2 100\n" + bytes([0, 100, 7, 99, 101, 255])
+        with pytest.raises(ParseError, match=r"pixel 101 at row 1, column 1 exceeds maxval 100"):
+            load_pgm(io.BytesIO(blob))
+
+    @pytest.mark.parametrize("maxval", [1, 15, 254])
+    def test_only_8_bit_maxval_read(self, maxval):
+        blob = b"P5 2 1 %d\n" % maxval + bytes([0, maxval])
+        with pytest.raises(ParseError, match=r"only 8-bit PGMs \(maxval 255\)"):
+            load_pgm(io.BytesIO(blob))
+
+    @pytest.mark.parametrize("maxval", [b"0", b"256", b"65535"])
+    def test_maxval_out_of_range_says_8_bit(self, maxval):
+        with pytest.raises(ParseError, match="only 8-bit"):
+            load_pgm(io.BytesIO(b"P5 2 1 " + maxval + b"\n" + bytes(4)))
+
     def test_header_cut_off(self):
         with pytest.raises(TruncationError):
             load_pgm(io.BytesIO(b"P5 2"))
