@@ -1,7 +1,8 @@
-"""pytest-benchmark cases for the layers at the benchmark's two
-geometries: bars (8x8 input, 6 kernels of 3x3, 2x2 pool, first dense
-layer 54 -> 32) and MNIST (28x28 input, 8 kernels of 5x5, 2x2 pool,
-first dense layer 1152 -> 64).
+"""pytest-benchmark cases for the layers, the loss, the sigmoid, the SGD
+update and a whole network's forward and backward at the benchmark's two
+geometries: bars (8x8 input, 6 kernels of 3x3, 2x2 pool, dense 32,2: first
+dense layer 54 -> 32) and MNIST (28x28 input, 8 kernels of 5x5, 2x2 pool,
+dense 64,10: first dense layer 1152 -> 64).
 
 Run from the repository root with::
 
@@ -14,7 +15,8 @@ suite does not collect this directory (``testpaths`` is ``tests``).
 import numpy as np
 import pytest
 
-from convkit.activations import ActivationKind
+from convkit import network as nm
+from convkit.activations import ActivationKind, apply
 from convkit.layers import (
     ConvGeometry,
     DenseLayer,
@@ -28,6 +30,7 @@ from convkit.layers import (
     maxpool_backward,
     maxpool_forward,
 )
+from convkit.losses import LossKind, ce_grad, loss
 
 GEOMETRIES = {
     "bars": ConvGeometry(8, 8, 1, 3, 3, 6),
@@ -35,6 +38,7 @@ GEOMETRIES = {
 }
 POOL = PoolGeometry(2, 2)
 DENSE = {"bars": (54, 32), "mnist": (1152, 64)}  # (n_in, n_out)
+WIDTHS = {"bars": (32, 2), "mnist": (64, 10)}
 
 
 def operands(g: ConvGeometry):
@@ -97,3 +101,57 @@ def test_dense_backward(benchmark, geometry):
     layer, a_prev, grad = dense_operands(geometry)
     _, _, trace = dense_forward(a_prev, layer)
     benchmark(dense_backward, grad, layer, trace)
+
+
+def network_operands(geometry: str):
+    """The seed-42 network of a geometry, one seeded sample and its traces."""
+    net = nm.init(nm.Architecture(GEOMETRIES[geometry], POOL, WIDTHS[geometry]), 42)
+    _, image, _ = operands(GEOMETRIES[geometry])
+    label = np.eye(net.class_count)[1]
+    _, traces = nm.forward(net, image)
+    return net, image, label, traces
+
+
+@pytest.mark.parametrize("geometry", WIDTHS)
+def test_network_forward(benchmark, geometry):
+    net, image, _, _ = network_operands(geometry)
+    benchmark(nm.forward, net, image)
+
+
+@pytest.mark.parametrize("geometry", WIDTHS)
+def test_network_backward(benchmark, geometry):
+    net, _, label, traces = network_operands(geometry)
+    benchmark(nm.backward, net, traces, label)
+
+
+@pytest.mark.parametrize("geometry", WIDTHS)
+def test_sgd_step(benchmark, geometry):
+    net, _, label, traces = network_operands(geometry)
+    grads = nm.backward(net, traces, label)
+    benchmark(nm.sgd_step, net, grads, 0.1)
+
+
+def output_operands(geometry: str):
+    """Seeded output pre-activations and a one-hot label of the geometry's
+    class count."""
+    k = WIDTHS[geometry][-1]
+    z = np.random.default_rng(3).standard_normal(k)
+    return z, apply(ActivationKind.SIGMOID, z), np.eye(k)[1]
+
+
+@pytest.mark.parametrize("geometry", WIDTHS)
+def test_sigmoid_apply(benchmark, geometry):
+    z, _, _ = output_operands(geometry)
+    benchmark(apply, ActivationKind.SIGMOID, z)
+
+
+@pytest.mark.parametrize("geometry", WIDTHS)
+def test_cross_entropy_loss(benchmark, geometry):
+    _, yhat, y = output_operands(geometry)
+    benchmark(loss, LossKind.CROSS_ENTROPY, yhat, y)
+
+
+@pytest.mark.parametrize("geometry", WIDTHS)
+def test_ce_grad(benchmark, geometry):
+    _, yhat, y = output_operands(geometry)
+    benchmark(ce_grad, yhat, y)
