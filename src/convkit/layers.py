@@ -16,8 +16,10 @@ Conventions fixed here once:
   the backward ``W^T delta`` sum in ascending index order (over j and
   over i respectively) with one accumulator per output element, through
   ``tensor.sum_rows``.
-* Max-pool ties break to the first maximum in row-major window order;
-  backward adds the gradients at the winners in pooled row-major order.
+* Max-pool ties break to the first maximum in row-major window order,
+  over window planes copied from one strided view of the input; the
+  pooled value is the winner's own bits. Backward adds the gradients at
+  the winners in pooled row-major order.
 """
 
 from __future__ import annotations
@@ -210,11 +212,9 @@ def maxpool_forward(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Keep the maximum of each window, remembering where it came from.
 
-    The k*k window planes are one read-only strided view of the C-order
-    input, copied by a single reshape into rows stacked in row-major
-    (du, dv) order, so argmax's first-maximum rule is exactly the
-    tie-break contract. The pooled value is the winner itself, gathered
-    from those rows with its exact bits.
+    One reshape copies the k*k window planes out of a read-only strided
+    view of the C-order input, stacked in row-major (du, dv) order so
+    argmax's first-maximum rule is exactly the tie-break contract.
     """
     act = np.asarray(act, dtype=np.float64)
     if act.ndim != 3:
