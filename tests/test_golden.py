@@ -3,6 +3,8 @@
 * sha256 digests of the model file and metrics CSV of `convkit train`
   runs: 10 classes at 28x28 read through the real `idx:` path with a
   short last batch, and bars with a padded conv and one sample per batch.
+* The exit code and exact stdout of `convkit gradcheck` on the padded
+  bars config and on 3 classes at 8x8 read through the `idx:` path.
 * Every field of every ``GroupResult`` that ``check_network`` reports for
   three fixed nets and samples, one of them with excluded perturbations.
 
@@ -34,11 +36,12 @@ train.seed=42
 """
 
 
-def idx_source(tmp_path):
-    """40 seeded 28x28 images over 10 classes, written as an IDX pair."""
-    rng = np.random.default_rng(2024)
-    raws = rng.integers(0, 256, size=(40, 28, 28)).astype(np.uint8)
-    labels = [i % 10 for i in rng.permutation(40)]
+def idx_source(tmp_path, n=40, size=28, classes=10, seed=2024):
+    """n seeded size x size images over ``classes`` classes, written as an
+    IDX pair."""
+    rng = np.random.default_rng(seed)
+    raws = rng.integers(0, 256, size=(n, size, size)).astype(np.uint8)
+    labels = [i % classes for i in rng.permutation(n)]
     img_path = tmp_path / "golden-images.idx"
     lbl_path = tmp_path / "golden-labels.idx"
     img_path.write_bytes(write_idx_images(raws))
@@ -81,6 +84,50 @@ def test_train_digests(tmp_path, case):
         pytest.skip(reason)
     assert hashlib.sha256(model_path.read_bytes()).hexdigest() == model_sha
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
+
+
+GRADCHECK_CLI_CASES = {
+    "bars-pad1-batch1": (
+        CASES["bars-pad1-batch1"][0],
+        CASES["bars-pad1-batch1"][1],
+        """\
+group          max_rel_err  mean_rel_err  excl  argmax        status
+conv.kernels  2.527973e-08  3.444237e-09     0  (0, 0, 1, 1)  pass
+conv.biases   1.692768e-10  1.208304e-10     0  (0,)          pass
+dense[0].W    2.730557e-08  4.099157e-10     0  (6, 17)       pass
+dense[0].b    5.967275e-11  1.134694e-11     0  (6,)          pass
+dense[1].W    1.593801e-09  1.436079e-10     0  (0, 0)        pass
+dense[1].b    9.288595e-13  6.523510e-13     0  (0,)          pass
+threshold 1.000000e-06: pass
+""",
+    ),
+    "idx-3class-8x8": (
+        "conv.kernels=2\nconv.size=3\nconv.pad=0\ndense.widths=8,3\n",
+        lambda tmp_path: idx_source(tmp_path, n=12, size=8, classes=3, seed=2025),
+        """\
+group          max_rel_err  mean_rel_err  excl  argmax        status
+conv.kernels  4.287383e-09  7.606462e-10     0  (1, 0, 1, 2)  pass
+conv.biases   8.979668e-10  6.164500e-10     0  (1,)          pass
+dense[0].W    9.195279e-09  1.300437e-10     0  (0, 17)       pass
+dense[0].b    7.050220e-11  8.812775e-12     0  (0,)          pass
+dense[1].W    1.123745e-10  8.856003e-12     0  (2, 0)        pass
+dense[1].b    1.103768e-11  5.849994e-12     0  (1,)          pass
+threshold 1.000000e-06: pass
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRADCHECK_CLI_CASES))
+def test_gradcheck_cli_pins(tmp_path, capsys, case):
+    keys, source, want = GRADCHECK_CLI_CASES[case]
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text(COMMON + keys + f"data.source={source(tmp_path)}\n")
+    assert main(["gradcheck", str(cfg)]) == 0
+    reason = golden_skip_reason()
+    if reason:
+        pytest.skip(reason)
+    assert capsys.readouterr().out == want
 
 
 README_ARCH = nm.Architecture(ConvGeometry(8, 8, 1, 3, 3, 6), PoolGeometry(2, 2), (32, 2))
