@@ -52,7 +52,7 @@ class RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as f:
                 text = f.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         pairs: dict[str, str] = {}
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -84,7 +84,8 @@ class RunConfig:
             raise ConfigError(f"config key '{key}' must be <= {maximum}, got {v}")
         return v
 
-    def floatval(self, key: str, nonnegative: bool = False) -> float:
+    def floatval(self, key: str) -> float:
+        """A finite number >= 0."""
         raw = self.require(key)
         try:
             v = float(raw)
@@ -92,7 +93,7 @@ class RunConfig:
             raise ConfigError(f"config key '{key}' must be a number, got {raw!r}") from None
         if not math.isfinite(v):
             raise ConfigError(f"config key '{key}' must be finite, got {raw!r}")
-        if nonnegative and v < 0:
+        if v < 0:
             raise ConfigError(f"config key '{key}' must be >= 0, got {v}")
         return v
 
@@ -110,40 +111,6 @@ class RunConfig:
 def _seed(cfg: RunConfig) -> int:
     # The generators take an unsigned 64-bit seed.
     return cfg.intval("train.seed", 0, 2**64 - 1)
-
-
-def _architecture(cfg: RunConfig, in_h: int, in_w: int) -> net_mod.Architecture:
-    # Bad geometry comes from config values, so it reports as a config error.
-    try:
-        conv = ConvGeometry(
-            in_h=in_h,
-            in_w=in_w,
-            in_c=1,
-            k_h=cfg.intval("conv.size", 1),
-            k_w=cfg.intval("conv.size", 1),
-            n_kernels=cfg.intval("conv.kernels", 1),
-            stride=cfg.intval("conv.stride", 1),
-            pad=cfg.intval("conv.pad", 0),
-        )
-        pool = PoolGeometry(
-            window=cfg.intval("pool.window", 1), stride=cfg.intval("pool.stride", 1)
-        )
-        arch = net_mod.Architecture(
-            conv=conv, pool=pool, dense_widths=cfg.widths("dense.widths")
-        )
-        arch.flat_length()
-    except GeometryError as e:
-        raise ConfigError(f"invalid geometry for {in_h}x{in_w} input: {e}") from e
-    return arch
-
-
-def _init(arch: net_mod.Architecture, seed: int) -> net_mod.Network:
-    # The parameter count comes from config values, so an oversized one
-    # reports as a config error.
-    try:
-        return net_mod.init(arch, seed=seed)
-    except ShapeError as e:
-        raise ConfigError(f"invalid architecture: {e}") from e
 
 
 def _load_dataset(cfg: RunConfig, class_count: int) -> Dataset:
@@ -179,6 +146,32 @@ def _load_dataset(cfg: RunConfig, class_count: int) -> Dataset:
     raise ConfigError(f"data.source {source!r} must start with 'idx:' or 'bars:'")
 
 
+def _network_and_data(cfg: RunConfig) -> tuple[net_mod.Network, Dataset]:
+    """The dataset the config names and the network the config describes,
+    initialized from ``train.seed``. Every key is read before any data is
+    loaded."""
+    seed = _seed(cfg)
+    if cfg.intval("conv.stride", 1) != 1:
+        raise ConfigError("training and gradient checking support conv.stride=1 only")
+    size = cfg.intval("conv.size", 1)
+    n_kernels = cfg.intval("conv.kernels", 1)
+    pad = cfg.intval("conv.pad", 0)
+    pool = (cfg.intval("pool.window", 1), cfg.intval("pool.stride", 1))
+    widths = cfg.widths("dense.widths")
+    data = _load_dataset(cfg, class_count=widths[-1])
+    _, in_h, in_w = data.images[0].shape
+    # Bad geometry and an oversized parameter count come from config
+    # values, so they report as config errors.
+    try:
+        conv = ConvGeometry(in_h, in_w, 1, size, size, n_kernels, pad=pad)
+        arch = net_mod.Architecture(conv, PoolGeometry(*pool), widths)
+        return net_mod.init(arch, seed=seed), data
+    except GeometryError as e:
+        raise ConfigError(f"invalid geometry for {in_h}x{in_w} input: {e}") from e
+    except ShapeError as e:
+        raise ConfigError(f"invalid architecture: {e}") from e
+
+
 def _check_extents(net: net_mod.Network, data: Dataset) -> None:
     g = net.bank.geometry
     want = (g.in_c, g.in_h, g.in_w)
@@ -195,20 +188,14 @@ def cmd_train(config_path: str) -> int:
     cfg = RunConfig.from_file(config_path)
     # Validate every knob before any heavy work.
     train_cfg = net_mod.TrainConfig(
-        learning_rate=cfg.floatval("train.alpha", nonnegative=True),
+        learning_rate=cfg.floatval("train.alpha"),
         epochs=cfg.intval("train.epochs", 1),
         batch_size=cfg.intval("train.batch_size", 1),
         rng_seed=_seed(cfg),
     )
-    if cfg.intval("conv.stride", 1) != 1:
-        raise ConfigError("training supports conv.stride=1 only")
     model_path = cfg.require("out.model")
     csv_path = cfg.require("out.csv")
-    widths = cfg.widths("dense.widths")
-    data = _load_dataset(cfg, class_count=widths[-1])
-    _, in_h, in_w = data.images[0].shape
-    arch = _architecture(cfg, in_h, in_w)
-    net = _init(arch, train_cfg.rng_seed)
+    net, data = _network_and_data(cfg)
     net, history = net_mod.train(net, data, train_cfg)
     # All computation succeeded; only now touch the filesystem.
     try:
@@ -236,15 +223,7 @@ def cmd_eval(model_path: str, config_path: str) -> int:
 
 
 def cmd_gradcheck(config_path: str, threshold: float) -> int:
-    cfg = RunConfig.from_file(config_path)
-    seed = _seed(cfg)
-    if cfg.intval("conv.stride", 1) != 1:
-        raise ConfigError("gradient checking supports conv.stride=1 only")
-    widths = cfg.widths("dense.widths")
-    data = _load_dataset(cfg, class_count=widths[-1])
-    _, in_h, in_w = data.images[0].shape
-    arch = _architecture(cfg, in_h, in_w)
-    net = _init(arch, seed)
+    net, data = _network_and_data(RunConfig.from_file(config_path))
     report = check_network(net, (data.images[0], data.labels[0]), threshold=threshold)
     print(report.format())
     return EXIT_OK if report.passed else EXIT_CHECK

@@ -9,8 +9,8 @@ from typing import BinaryIO
 
 import numpy as np
 
+from . import tensor
 from .errors import DomainError, ParseError, ShapeError, TruncationError
-from .tensor import check_shape
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -228,7 +228,8 @@ def synth_bars(n: int, h: int, w: int, seed: int) -> Dataset:
         raise DomainError(f"extents must be >= 4, got {h}x{w}")
     if n < 2 or n % 2:
         raise DomainError(f"sample count must be even and >= 2, got {n}")
-    check_shape((n, h, w))  # before any image is allocated
+    if n * h * w > tensor.MAX_ELEMENTS:  # before any image is allocated
+        raise ShapeError(f"shape {(n, h, w)} exceeds {tensor.MAX_ELEMENTS} elements")
     rng = np.random.Generator(np.random.PCG64(seed))
     images = np.empty((n, 1, h, w))
     labels = np.repeat(np.eye(2), n // 2, axis=0)

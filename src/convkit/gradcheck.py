@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,17 +33,6 @@ NEAR_ZERO_SCALE = 3e-5
 NEAR_ZERO_ABS = 1e-9
 
 _PIECEWISE = (ActivationKind.RELU, ActivationKind.LEAKY_RELU)
-
-
-def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
-    """(f(x+h) - f(x-h)) / (2h)."""
-    if h <= 0:
-        raise DomainError(f"step h must be > 0, got {h}")
-    hi = f(x + h)
-    lo = f(x - h)
-    if not (np.isfinite(hi) and np.isfinite(lo)):
-        raise DomainError(f"f is not finite at {x} +/- {h}")
-    return (hi - lo) / (2.0 * h)
 
 
 def relative_error(analytic: float, numeric: float) -> float:

@@ -318,8 +318,6 @@ def dense_backward(
         raise ShapeError("trace does not come from dense_forward")
     if grad_a.shape != (layer.n_out,):
         raise ShapeError(f"grad shape {grad_a.shape} != ({layer.n_out},)")
-    if layer.activation == ActivationKind.SOFTMAX:
-        raise UnsupportedError("cannot backpropagate through softmax")
     delta = grad_a * derivative(layer.activation, trace.preact)
     grad_w = delta[:, None] * trace.input
     grad_b = delta

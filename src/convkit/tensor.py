@@ -1,8 +1,7 @@
 """Dense real-array helpers used everywhere else in the toolkit.
 
-A "tensor" here is simply a float64 ``numpy.ndarray`` of rank 1 to 3.
-Layout is fixed and documented once, so file formats and flatten order
-are unambiguous:
+Arrays are float64 ``numpy.ndarray``s. Layout is fixed and documented
+once, so file formats and flatten order are unambiguous:
 
 * rank-2: row-major, index (i, j) -> i*W + j
 * rank-3: channel-major, index (c, h, w) -> ((c*H) + h)*W + w
@@ -25,35 +24,8 @@ from .errors import ShapeError
 MAX_ELEMENTS = 1 << 30
 
 
-def check_shape(shape) -> tuple[int, ...]:
-    """Validate 1-3 positive integer extents, returning them as a tuple."""
-    shape = tuple(int(s) for s in shape)
-    if not 1 <= len(shape) <= 3:
-        raise ShapeError(f"rank must be 1..3, got shape {shape}")
-    if any(s < 1 for s in shape):
-        raise ShapeError(f"all extents must be >= 1, got shape {shape}")
-    total = 1
-    for s in shape:
-        total *= s
-    if total > MAX_ELEMENTS:
-        raise ShapeError(f"shape {shape} exceeds {MAX_ELEMENTS} elements")
-    return shape
-
-
-def as_tensor(x) -> np.ndarray:
-    """Coerce to a float64 array of rank 1..3."""
-    arr = np.asarray(x, dtype=np.float64)
-    check_shape(arr.shape)
-    return arr
-
-
-def make(shape, fill: float = 0.0) -> np.ndarray:
-    """New tensor of the given shape with every element equal to ``fill``."""
-    return np.full(check_shape(shape), float(fill), dtype=np.float64)
-
-
 def rot180(m: np.ndarray) -> np.ndarray:
-    """Rotate a rank-2 tensor by 180 degrees: out[i, j] = in[H-1-i, W-1-j]."""
+    """Rotate a rank-2 array by 180 degrees: out[i, j] = in[H-1-i, W-1-j]."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"rot180 expects rank 2, got rank {m.ndim}")
@@ -91,23 +63,3 @@ def matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     if w.shape[1] != a.shape[0]:
         raise ShapeError(f"inner dims disagree: {w.shape} vs {a.shape}")
     return sum_rows(np.multiply(w.T, a[:, None], order="C"))
-
-
-def flatten(t: np.ndarray) -> np.ndarray:
-    """Copy out the elements of ``t`` as a rank-1 tensor in layout order."""
-    t = as_tensor(t)
-    return t.reshape(-1).copy()
-
-
-def unflatten(v: np.ndarray, shape) -> np.ndarray:
-    """Inverse of ``flatten``: reshape a rank-1 tensor to ``shape``."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"unflatten expects rank 1, got rank {v.ndim}")
-    shape = check_shape(shape)
-    total = 1
-    for s in shape:
-        total *= s
-    if total != v.shape[0]:
-        raise ShapeError(f"cannot reshape {v.shape[0]} elements to {shape}")
-    return v.reshape(shape).copy()

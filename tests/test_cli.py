@@ -141,16 +141,6 @@ class TestTrain:
         path.write_text("conv.kernels 2\n")
         assert main(["train", str(path)]) == 1
 
-    def test_negative_seed_rejected(self, tmp_path, capsys):
-        cfg = train_config(tmp_path, drop="train.seed", extra="train.seed=-1")
-        assert main(["train", cfg]) == 1
-        assert "train.seed" in capsys.readouterr().err
-
-    def test_strided_conv_training_rejected(self, tmp_path, capsys):
-        cfg = train_config(tmp_path, drop="conv.stride", extra="conv.stride=2")
-        assert main(["train", cfg]) == 1
-        assert "stride" in capsys.readouterr().err
-
     def test_unwritable_output_path(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "bad-out.cfg",
@@ -170,6 +160,12 @@ class TestTrain:
         assert "train.alpha" in capsys.readouterr().err
         assert not (tmp_path / "model-a.cnnf").exists()
         assert not (tmp_path / "metrics-a.csv").exists()
+
+    def test_negative_alpha_rejected(self, tmp_path, capsys):
+        cfg = train_config(tmp_path, drop="train.alpha", extra="train.alpha=-0.5")
+        assert main(["train", cfg]) == 1
+        assert "'train.alpha' must be >= 0" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["train.cfg"]
 
     def test_diverging_run_writes_nothing(self, tmp_path, capsys):
         # the acceptance suite's criterion-7 run with a learning rate that
@@ -210,24 +206,6 @@ class TestTrain:
         )
         assert main(["train", cfg]) == 1
         assert "exceeds" in capsys.readouterr().err
-
-    def test_oversized_architecture_is_config_error(self, tmp_path, capsys):
-        cfg = train_config(
-            tmp_path, drop="dense.widths", extra=f"dense.widths={OVERSIZED_WIDTHS}"
-        )
-        assert main(["train", cfg]) == 1
-        captured = capsys.readouterr()
-        assert "parameters" in captured.err and captured.out == ""
-        assert not (tmp_path / "model-a.cnnf").exists()
-        assert not (tmp_path / "metrics-a.csv").exists()
-
-    def test_seed_over_64_bits_is_config_error(self, tmp_path, capsys):
-        cfg = train_config(tmp_path, drop="train.seed", extra=SEED_2_64)
-        assert main(["train", cfg]) == 1
-        captured = capsys.readouterr()
-        assert "train.seed" in captured.err and captured.out == ""
-        assert not (tmp_path / "model-a.cnnf").exists()
-        assert not (tmp_path / "metrics-a.csv").exists()
 
     def test_largest_seed_accepted(self, tmp_path):
         cfg = train_config(
@@ -303,20 +281,6 @@ class TestGradcheck:
         cfg = train_config(tmp_path)
         assert main(["gradcheck", cfg, "--threshold", "1e-12"]) == 3
 
-    def test_oversized_architecture_is_config_error(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path, "big.cfg", drop="dense.widths", extra=f"dense.widths={OVERSIZED_WIDTHS}"
-        )
-        assert main(["gradcheck", cfg]) == 1
-        captured = capsys.readouterr()
-        assert "parameters" in captured.err and captured.out == ""
-
-    def test_seed_over_64_bits_is_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "seed.cfg", drop="train.seed", extra=SEED_2_64)
-        assert main(["gradcheck", cfg]) == 1
-        captured = capsys.readouterr()
-        assert "train.seed" in captured.err and captured.out == ""
-
     @pytest.mark.parametrize("threshold", ["inf", "nan", "-1", "0"])
     def test_bad_threshold_is_usage_error(self, tmp_path, capsys, threshold):
         cfg = train_config(tmp_path)
@@ -324,6 +288,58 @@ class TestGradcheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--threshold" in captured.err
+
+
+# (key dropped from BASE_KEYS, line put in its place, fragment of the error)
+CONFIG_ERRORS = {
+    "negative-seed": ("train.seed", "train.seed=-1", "train.seed"),
+    "seed-over-64-bits": ("train.seed", SEED_2_64, "train.seed"),
+    "strided-conv": ("conv.stride", "conv.stride=2", "stride"),
+    "oversized-architecture": (
+        "dense.widths", f"dense.widths={OVERSIZED_WIDTHS}", "parameters"
+    ),
+    "kernel-larger-than-input": (
+        "conv.size", "conv.size=9", "kernel 9x9 exceeds padded input 8x8"
+    ),
+    "bars-with-3-classes": (
+        "dense.widths", "dense.widths=8,3", "bars data has 2 classes"
+    ),
+    # every key is read before any data is loaded
+    "bad-key-and-missing-data": (
+        "conv.size", "conv.size=0\ndata.source=idx:no-such-images,no-such-labels",
+        "conv.size"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_config_error_exits_1_writing_nothing(tmp_path, capsys, command, case):
+    drop, extra, fragment = CONFIG_ERRORS[case]
+    cfg = train_config(tmp_path, drop=drop, extra=extra)
+    assert main([command, cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and fragment in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["train.cfg"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "gradcheck"])
+def test_config_not_utf8_is_config_error(tmp_path, capsys, command):
+    model = zero_model(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(
+        b"conv.kernels=6\xff\n"
+        + f"out.model={tmp_path / 'model-a.cnnf'}\n".encode()
+        + f"out.csv={tmp_path / 'metrics-a.csv'}\n".encode()
+    )
+    argv = [command, model, str(cfg)] if command == "eval" else [command, str(cfg)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read config")
+    assert str(cfg) in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "zero.cnnf"]
 
 
 class TestPredict:

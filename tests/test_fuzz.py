@@ -1,12 +1,15 @@
-"""Fuzzing of the model-file, IDX and PGM parsers: mutated or truncated
-bytes may raise only ConvkitError (never struct.error, IndexError,
-ValueError, MemoryError, ...).
+"""Fuzzing of the model-file, IDX, PGM and config parsers: mutated or
+truncated bytes may raise only ConvkitError (never struct.error,
+IndexError, ValueError, MemoryError, ...), and `convkit train` and
+`convkit gradcheck` on small configs end in a documented exit code.
 
 Derandomized and bounded, so every run checks the same inputs.
 """
 
 import io
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convkit import network as nm
+from convkit.cli import RunConfig, main
 from convkit.dataio import dataset_from_idx, load_idx_images, load_idx_labels, load_pgm
-from convkit.errors import ConvkitError
+from convkit.errors import ConfigError, ConvkitError
 from convkit.layers import ConvGeometry, PoolGeometry
 
 ARCH = nm.Architecture(
@@ -163,3 +167,100 @@ def test_load_pgm_raises_only_convkit_errors(fields, sep, payload, edits, cut):
     except ConvkitError:
         return
     assert image.dtype == np.uint8 and image.ndim == 2 and min(image.shape) >= 1
+
+
+# --- RunConfig and the train/gradcheck commands ---------------------------
+
+CONFIG_KEYS = ["conv.kernels", "conv.size", "conv.stride", "conv.pad", "pool.window",
+               "pool.stride", "dense.widths", "train.alpha", "train.epochs",
+               "train.batch_size", "train.seed", "data.source"]
+config_keys = st.sampled_from(CONFIG_KEYS) | st.text(max_size=8)
+config_values = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.floats().map(str),
+    st.lists(st.integers(-3, 9).map(str), max_size=3).map(",".join),
+    st.sampled_from(["", " 1", "1_0", "0x1", "1e400", "-0", "bars:4,8,8", "9" * 5000]),
+    st.text(max_size=12),
+)
+config_lines = st.one_of(
+    st.tuples(config_keys, config_values).map("=".join),
+    st.text(max_size=16),
+)
+config_texts = st.one_of(
+    st.lists(config_lines, max_size=8).map("\n".join).map(
+        lambda t: t.encode("utf-8", "surrogatepass")),
+    st.binary(max_size=64),
+)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "run.cfg"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(text=config_texts)
+def test_run_config_raises_only_config_errors(config_path, text):
+    config_path.write_bytes(text)
+    try:
+        cfg = RunConfig.from_file(str(config_path))
+    except ConfigError:
+        return
+    for key in [*CONFIG_KEYS, *cfg.pairs]:
+        for read in (cfg.require, cfg.intval, cfg.floatval, cfg.widths,
+                     lambda k: cfg.intval(k, 1, 2**64 - 1)):
+            try:
+                read(key)
+            except ConfigError:
+                pass
+
+
+def widths(ws):
+    return ",".join(map(str, ws))
+
+
+def bars(nhw):
+    return "bars:{},{},{}".format(*nhw)
+
+
+ints = st.integers
+# (values of a config that may run, values from a wider small range)
+SMALL_VALUES = {
+    "conv.kernels": (ints(1, 3), ints(0, 3)),
+    "conv.size": (ints(1, 4), ints(0, 9)),
+    "conv.stride": (st.just(1), ints(0, 2)),
+    "conv.pad": (ints(0, 2), ints(-1, 2)),
+    "pool.window": (ints(1, 2), ints(0, 9)),
+    "pool.stride": (ints(1, 2), ints(0, 3)),
+    "dense.widths": (st.lists(ints(1, 4), max_size=1).map(lambda ws: widths(ws + [2])),
+                     st.lists(ints(0, 4), min_size=1, max_size=2).map(widths)),
+    "train.alpha": (st.floats(0.0, 2.0), st.floats(-0.5, 2.0) | st.sampled_from(["nan", "x"])),
+    "train.epochs": (ints(1, 2), ints(0, 2)),
+    "train.batch_size": (ints(1, 16), ints(0, 17)),
+    "train.seed": (ints(0, 3), ints(-1, 3)),
+    "data.source": (st.tuples(ints(1, 8).map(lambda k: 2 * k), ints(4, 9), ints(4, 9)).map(bars),
+                    st.tuples(ints(0, 16), ints(0, 9), ints(0, 9)).map(bars)),
+}
+# the key drawn from its wider range, and the key left out
+CHANGES = st.tuples(st.none() | st.sampled_from(CONFIG_KEYS),
+                    st.none() | st.none() | st.sampled_from(CONFIG_KEYS))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(command=st.sampled_from(["train", "gradcheck"]), changes=CHANGES, data=st.data())
+def test_small_configs_end_in_an_exit_code(command, changes, data):
+    wide, dropped = changes
+    pairs = {key: data.draw(values[key == wide], label=key)
+             for key, values in SMALL_VALUES.items() if key != dropped}
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp) / "out.cnnf", Path(tmp) / "out.csv"]
+        cfg = Path(tmp) / "run.cfg"
+        lines = [f"{k}={v}" for k, v in pairs.items()]
+        lines += [f"out.model={outs[0]}", f"out.csv={outs[1]}"]
+        cfg.write_text("\n".join(lines) + "\n")
+        code = main([command, str(cfg)])
+        assert code in (0, 1, 2, 3)
+        if code != 0 or command == "gradcheck":
+            assert not any(p.exists() for p in outs)
+        else:
+            assert all(p.exists() for p in outs)

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +8,6 @@ from convkit.dataio import one_hot
 from convkit.errors import DomainError
 from convkit.gradcheck import (
     _decision_pattern,
-    central_diff,
     check_network,
     relative_error,
 )
@@ -35,26 +33,6 @@ def sample(seed):
     image = rng.uniform(0.0, 1.0, size=(1, 8, 8))
     label = one_hot(int(rng.integers(0, 2)), 2)
     return image, label
-
-
-class TestCentralDiff:
-    def test_quadratic(self):
-        assert abs(central_diff(lambda x: x * x, 3.0, 1e-5) - 6.0) <= 1e-9
-
-    def test_constant(self):
-        assert central_diff(lambda x: 4.25, 1.0, 1e-6) == 0.0
-
-    def test_sine(self):
-        d = central_diff(math.sin, 0.7, 1e-6)
-        assert abs(d - math.cos(0.7)) <= 1e-9
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(DomainError):
-            central_diff(lambda x: x, 0.0, 0.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            central_diff(lambda x: float("nan"), 0.0, 1e-6)
 
 
 class TestRelativeError:

@@ -205,7 +205,7 @@ class TestForward:
         yhat, _ = nm.forward(net, image)
         _, act, _ = conv_forward(image, net.bank, net.conv_activation)
         pooled, _ = maxpool_forward(act, net.pool)
-        a = tensor.flatten(pooled)
+        a = pooled.reshape(-1)
         for layer in net.dense:
             _, a, _ = dense_forward(a, layer)
         assert np.array_equal(yhat, a)

@@ -52,26 +52,6 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
-class TestMake:
-    def test_fill_rank2(self):
-        assert np.array_equal(tensor.make([2, 2], 0.0), np.zeros((2, 2)))
-
-    def test_fill_rank1(self):
-        assert np.array_equal(tensor.make([3], 1.5), np.array([1.5, 1.5, 1.5]))
-
-    def test_zero_extent_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor.make([0], 0.0)
-
-    def test_oversized_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor.make([1 << 11, 1 << 11, 1 << 11], 0.0)
-
-    def test_rank4_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor.make([2, 2, 2, 2], 0.0)
-
-
 class TestRot180:
     def test_small_by_hand(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -164,42 +144,9 @@ class TestSumRows:
             assert not np.signbit(out).any()
 
 
-class TestFlatten:
-    def test_row_major_order(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(tensor.flatten(m), [1.0, 2.0, 3.0, 4.0])
-
-    def test_unflatten_inverse(self):
-        v = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(
-            tensor.unflatten(v, [2, 2]), np.array([[1.0, 2.0], [3.0, 4.0]])
-        )
-
-    def test_round_trip_random_shapes(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            rank = int(rng.integers(1, 4))
-            shape = tuple(int(rng.integers(1, 6)) for _ in range(rank))
-            t = rng.standard_normal(shape)
-            assert np.array_equal(tensor.unflatten(tensor.flatten(t), shape), t)
-
-    def test_channel_major_rank3(self):
-        t = np.arange(12, dtype=np.float64).reshape(2, 2, 3)
-        flat = tensor.flatten(t)
-        # (c, h, w) -> ((c*H)+h)*W + w
-        for c in range(2):
-            for h in range(2):
-                for w in range(3):
-                    assert flat[(c * 2 + h) * 3 + w] == t[c, h, w]
-
-    def test_product_mismatch(self):
-        with pytest.raises(ShapeError):
-            tensor.unflatten(np.zeros(5), [2, 2])
-
-
 def test_finite_in_finite_out():
     rng = np.random.default_rng(6)
     w = rng.standard_normal((5, 5)) * 1e8
     a = rng.standard_normal(5) * 1e8
-    for out in (tensor.matvec(w, a), tensor.rot180(w), tensor.flatten(w)):
+    for out in (tensor.matvec(w, a), tensor.rot180(w)):
         assert np.all(np.isfinite(out))
