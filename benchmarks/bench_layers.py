@@ -9,7 +9,10 @@ Run from the repository root with::
     PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
 and add ``--benchmark-json=<file>`` to keep the statistics. The tier-1
-suite does not collect this directory (``testpaths`` is ``tests``).
+suite does not collect this directory (``testpaths`` is ``tests``), so
+after deleting or renaming any library function run every case once::
+
+    PYTHONPATH=src python -m pytest benchmarks --benchmark-disable -q
 """
 
 import numpy as np
