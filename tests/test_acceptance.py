@@ -6,6 +6,7 @@ build and are deterministic thereafter (fixed seeds, fixed arithmetic).
 """
 
 import hashlib
+import io
 import os
 import platform
 import sys
@@ -223,6 +224,12 @@ def test_criterion_4_bars_convergence():
         assert accuracy >= 0.95, f"held-out accuracy {accuracy}"
         assert elapsed <= 60.0, f"took {elapsed:.1f}s"
         extra = f"accuracy={accuracy:.3f}, {elapsed:.1f}s"
+        if golden_skip_reason() is None:
+            model = io.BytesIO()
+            nm.save(net, model)
+            assert hashlib.sha256(model.getvalue()).hexdigest() == CRITERION_4_MODEL_SHA256
+        else:
+            extra += ", model digest not pinned on this platform"
         ok = True
     finally:
         report(name, ok, extra)
@@ -348,6 +355,8 @@ def test_criterion_6_loss_suite():
 GOLDEN_MODEL_SHA256 = "2c9d6a31e8f15f084773d682e85ef3f6f1187bb25f920dbce5376c3cdcd978b3"
 GOLDEN_CSV_SHA256 = "5f12b8e2ed682ae5596edc6879b4a9d1172fcb10c4b97fa7abfca54f2e8c4d6f"
 GOLDEN_PLATFORM = ("2.4.6", (3, 11), "x86_64")
+# sha256 of the criterion-4 model file after its 150 epochs.
+CRITERION_4_MODEL_SHA256 = "cae1baa547b4faa76e3f2d31f97dcd2458c525966d3731ae5764bcd94a866f6f"
 
 
 def golden_skip_reason():

@@ -6,7 +6,10 @@
 * The exit code and exact stdout of `convkit gradcheck` on the padded
   bars config and on 3 classes at 8x8 read through the `idx:` path.
 * Every field of every ``GroupResult`` that ``check_network`` reports for
-  three fixed nets and samples, one of them with excluded perturbations.
+  four fixed nets and samples, one of them with excluded perturbations.
+* sha256 digests of the model file and epoch history of a 2-channel,
+  padded net trained through the library API (``Dataset`` holds
+  1-channel images only).
 
 The pins hold only on the platform they were measured on (see
 ``test_acceptance.GOLDEN_PLATFORM``); elsewhere each run still has to
@@ -14,6 +17,8 @@ succeed, then the test is skipped.
 """
 
 import hashlib
+import io
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -144,6 +149,51 @@ def ten_class():
     return nm.init(TEN_CLASS_ARCH, 7), (image, one_hot(3, 10))
 
 
+class Samples(NamedTuple):
+    """The two fields of a ``Dataset`` that ``train`` and ``evaluate`` read,
+    without its 1-channel check."""
+
+    images: np.ndarray
+    labels: np.ndarray
+
+
+TWO_CHANNEL_ARCH = nm.Architecture(
+    ConvGeometry(8, 8, 2, 3, 3, 3, pad=1), PoolGeometry(2, 2), (8, 3)
+)
+
+
+def two_channel_trained():
+    """24 seeded 2-channel 8x8 images over 3 classes, trained 3 epochs in
+    batches of 8; returns the net, its history and the data."""
+    rng = np.random.default_rng(2026)
+    images = rng.uniform(0.0, 1.0, size=(24, 2, 8, 8))
+    labels = np.stack([one_hot(i % 3, 3) for i in rng.permutation(24)])
+    data = Samples(images, labels)
+    cfg = nm.TrainConfig(learning_rate=0.1, epochs=3, batch_size=8, rng_seed=42)
+    net, history = nm.train(nm.init(TWO_CHANNEL_ARCH, 42), data, cfg)
+    return net, history, data
+
+
+def test_two_channel_train_digests():
+    net, history, _ = two_channel_trained()
+    assert [h.epoch for h in history] == [1, 2, 3]
+    reason = golden_skip_reason()
+    if reason:
+        pytest.skip(reason)
+    model = io.BytesIO()
+    nm.save(net, model)
+    assert hashlib.sha256(model.getvalue()).hexdigest() == \
+        "16be58b42f3ef512a87ef9ab85d8c9e50a3e005cf13d0284b9a76175cd00e970"
+    # repr round-trips every float exactly
+    assert hashlib.sha256(repr([tuple(h) for h in history]).encode()).hexdigest() == \
+        "45c6ede0d17e64d2dc9ad8896579a11f40b65524198520d353b43d287e7bbc4a"
+
+
+def two_channel_sample0():
+    net, _, data = two_channel_trained()
+    return net, (data.images[0], data.labels[0])
+
+
 def readme_zero_image():
     # Every conv pre-activation is the zero bias: each bias perturbation
     # flips the ReLU decisions between its two runs and is excluded.
@@ -175,6 +225,14 @@ GRADCHECK_CASES = {
         ("dense[0].b", 0.0, 0.0, (), 0, 32, True),
         ("dense[1].W", 0.0, 0.0, (0, 0), 64, 0, True),
         ("dense[1].b", 1.565336749109747e-11, 1.1102285757381338e-11, (1,), 2, 0, True),
+    ]),
+    "two-channel-pad1": (two_channel_sample0, [
+        ("conv.kernels", 1.0865534314137547e-08, 5.08904074433379e-10, (1, 1, 1, 2), 54, 0, True),
+        ("conv.biases", 1.927169261273696e-10, 8.044573121058263e-11, (1,), 3, 0, True),
+        ("dense[0].W", 1.0798252483799312e-08, 1.5170240739110586e-10, (6, 45), 384, 0, True),
+        ("dense[0].b", 1.6914596942926e-10, 2.7497637855650662e-11, (2,), 8, 0, True),
+        ("dense[1].W", 8.548440898205047e-10, 7.130147072768371e-11, (0, 2), 24, 0, True),
+        ("dense[1].b", 3.282462401035734e-11, 2.1945344180592207e-11, (0,), 3, 0, True),
     ]),
 }
 
