@@ -165,17 +165,43 @@ class ForwardTrace:
     argmax_cols: np.ndarray | None = None
 
 
-def _taps(image: np.ndarray, g: ConvGeometry, h1: int, w1: int) -> np.ndarray:
-    """Read-only (in_c, k_h, k_w, h1, w1) view of the zero-padded C-order
-    image: entry [c, u, v] is the strided window that tap (c, u, v) multiplies."""
+# Index tables depend only on a layer's geometry, so each is built once
+# and kept read-only. The cache is emptied when it reaches _MAX_TABLES
+# entries, so a run over many geometries cannot grow it without bound.
+_TABLES: dict = {}
+_MAX_TABLES = 64
+
+
+def _remember(key, *tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    if len(_TABLES) >= _MAX_TABLES:
+        _TABLES.clear()
+    for table in tables:
+        table.flags.writeable = False
+    _TABLES[key] = tables
+    return tables
+
+
+def _tap_table(g: ConvGeometry) -> np.ndarray:
+    """(n_taps, h1*w1) flat positions in the zero-padded C-order image:
+    row t is tap t = (c, u, v) in ascending order, column i*w1 + j is
+    output (i, j)."""
+    hit = _TABLES.get(g)
+    if hit is not None:
+        return hit[0]
+    h1, w1, _ = conv_output_dims(g)
+    hp, wp = g.in_h + 2 * g.pad, g.in_w + 2 * g.pad
+    c, u, v = np.indices((g.in_c, g.k_h, g.k_w)).reshape(3, -1, 1)
+    i, j = np.indices((h1, w1)).reshape(2, 1, -1) * g.stride
+    return _remember(g, (c * hp + u + i) * wp + v + j)[0]
+
+
+def _taps(image: np.ndarray, g: ConvGeometry) -> np.ndarray:
+    """(n_taps, h1*w1) gather of the zero-padded (channels, H, W) image:
+    row t holds the inputs tap t = (c, u, v) multiplies, in row-major
+    (i, j) output order. A new array: no view of the image or the table."""
     if g.pad:
         image = np.pad(image, ((0, 0), (g.pad, g.pad), (g.pad, g.pad)))
-    sc, sh, sw = image.strides
-    shape = (g.in_c, g.k_h, g.k_w, h1, w1)
-    strides = (sc, sh, sw, sh * g.stride, sw * g.stride)
-    taps = np.ndarray(shape, np.float64, buffer=image, strides=strides)
-    taps.flags.writeable = False
-    return taps
+    return image.reshape(-1).take(_tap_table(g))
 
 
 def conv_forward(
@@ -183,8 +209,9 @@ def conv_forward(
 ) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
     """Slide the kernel bank over the (channels, H, W) image.
 
-    Each tap's products for the whole bank are one C-order row of a
-    (taps, d1*h1*w1) tensor, taps in ascending (c, u, v) order;
+    ``_taps`` gathers each tap's inputs through a table cached per
+    geometry. Each tap's products for the whole bank are one C-order row
+    of a (taps, d1*h1*w1) tensor, taps in ascending (c, u, v) order;
     ``tensor.sum_rows`` adds the rows from +0.0, then the biases are added.
 
     Returns the pre-activation feature maps, the activated maps, and the
@@ -195,16 +222,34 @@ def conv_forward(
     if image.shape != (g.in_c, g.in_h, g.in_w):
         raise ShapeError(f"image shape {image.shape} != {(g.in_c, g.in_h, g.in_w)}")
     h1, w1, d1 = conv_output_dims(g)
-    n_taps = g.in_c * g.k_h * g.k_w
-    taps = _taps(image, g, h1, w1)
+    taps = _taps(image, g)
     # order="C" makes each tap's products one contiguous row: numpy would
     # otherwise follow the transposed kernels' layout.
-    kernels = bank.kernels.reshape(d1, n_taps).T[:, :, None, None]
-    products = np.multiply(kernels, taps.reshape(n_taps, 1, h1, w1), order="C")
-    preact = tensor.sum_rows(products.reshape(n_taps, -1), initial=0.0)
+    kernels = bank.kernels.reshape(d1, -1).T[:, :, None]
+    products = np.multiply(kernels, taps[:, None, :], order="C")
+    preact = tensor.sum_rows(products.reshape(len(taps), -1), initial=0.0)
     preact = preact.reshape(d1, h1, w1) + bank.biases[:, None, None]
     act = apply(activation, preact)
     return preact, act, ForwardTrace(input=image, preact=preact)
+
+
+def _window_table(g: PoolGeometry, d1: int, h1: int, w1: int) -> tuple[np.ndarray, ...]:
+    """Index tables of max-pooling a (d1, h1, w1) C-order map.
+
+    The first three are (k*k, n) over the n = d2*h2*w2 pooled outputs in
+    row-major order and the window entries in row-major (du, dv) order: each
+    entry's flat input position, its absolute row and its absolute
+    column. The fourth is arange(n).
+    """
+    key = (g, d1, h1, w1)
+    hit = _TABLES.get(key)
+    if hit is not None:
+        return hit
+    h2, w2, d2 = pool_output_dims(h1, w1, d1, g)
+    du, dv = np.indices((g.window, g.window)).reshape(2, -1, 1)
+    c, i, j = np.indices((d2, h2, w2)).reshape(3, 1, -1)
+    rows, cols = i * g.stride + du, j * g.stride + dv
+    return _remember(key, (c * h1 + rows) * w1 + cols, rows, cols, np.arange(d2 * h2 * w2))
 
 
 def maxpool_forward(
@@ -212,33 +257,27 @@ def maxpool_forward(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Keep the maximum of each window, remembering where it came from.
 
-    One reshape copies the k*k window planes out of a read-only strided
-    view of the C-order input, stacked in row-major (du, dv) order so
-    argmax's first-maximum rule is exactly the tie-break contract.
+    One ``take`` through a table cached per geometry gathers the k*k
+    window planes of the C-order input, stacked in row-major (du, dv)
+    order so argmax's first-maximum rule is exactly the tie-break
+    contract.
     """
     act = np.asarray(act, dtype=np.float64)
     if act.ndim != 3:
         raise ShapeError(f"maxpool expects rank 3, got rank {act.ndim}")
-    act = np.ascontiguousarray(act)
     d1, h1, w1 = act.shape
     h2, w2, d2 = pool_output_dims(h1, w1, d1, g)
-    s, k = g.stride, g.window
-    sc, sh, sw = act.strides
-    view = np.ndarray((k, k, d2, h2, w2), np.float64, buffer=act,
-                      strides=(sh, sw, sc, sh * s, sw * s))
-    view.flags.writeable = False
-    planes = view.reshape(k * k, -1)
-    flat_win = planes.argmax(axis=0)
+    idx, rows, cols, ar = _window_table(g, d1, h1, w1)
+    planes = act.reshape(-1).take(idx)
     # Gather the winners themselves (not planes.max, which may return the
     # other zero of a -0.0/0.0 tie or a different NaN).
-    pooled = planes[flat_win, np.arange(flat_win.size)].reshape(d2, h2, w2)
-    du, dv = np.divmod(flat_win.reshape(d2, h2, w2), k)
+    sel = planes.argmax(axis=0) * len(ar) + ar
     trace = ForwardTrace(
         input=act,
-        argmax_rows=np.arange(0, h2 * s, s)[:, None] + du,
-        argmax_cols=np.arange(0, w2 * s, s) + dv,
+        argmax_rows=rows.take(sel).reshape(d2, h2, w2),
+        argmax_cols=cols.take(sel).reshape(d2, h2, w2),
     )
-    return pooled, trace
+    return planes.take(sel).reshape(d2, h2, w2), trace
 
 
 def maxpool_backward(grad_pooled: np.ndarray, trace: ForwardTrace) -> np.ndarray:
@@ -283,11 +322,11 @@ def conv_backward(
     h1, w1, d1 = conv_output_dims(g)
     if grad_preact.shape != (d1, h1, w1):
         raise ShapeError(f"grad shape {grad_preact.shape} != {(d1, h1, w1)}")
-    taps = _taps(image, g, h1, w1)
-    # order="C" lays each tap's h1*w1 products out contiguously: the reshape
-    # is a view, and each sum is the pairwise sum a per-tap np.sum computes.
-    products = np.multiply(grad_preact[:, None, None, None], taps[None], order="C")
-    grad_kernels = products.reshape(d1, g.in_c, g.k_h, g.k_w, h1 * w1).sum(axis=-1)
+    taps = _taps(image, g)
+    # order="C" lays each tap's h1*w1 products out contiguously, so each
+    # sum is the pairwise sum a per-tap np.sum computes.
+    products = np.multiply(grad_preact.reshape(d1, 1, h1 * w1), taps[None], order="C")
+    grad_kernels = products.sum(axis=-1).reshape(bank.kernels.shape)
     grad_biases = np.sum(grad_preact, axis=(1, 2))
     return grad_kernels, grad_biases
 

@@ -50,7 +50,9 @@ def loss(kind: LossKind, yhat: np.ndarray, y: np.ndarray) -> float:
     if kind == LossKind.CROSS_ENTROPY:
         _check_binary_labels(y)
         yc = np.minimum(np.maximum(yhat, CE_EPS), 1.0 - CE_EPS)
-        return float(-(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc)).sum() / t)
+        # One log per component: the other label's term is +-0 * a finite
+        # log, so dropping it leaves every term's bits unchanged.
+        return float(-np.log(np.where(y == 1.0, yc, 1.0 - yc)).sum() / t)
     if kind == LossKind.MSE:
         return float(np.sum((y - yhat) ** 2) / t)
     if kind == LossKind.MSLE:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convkit import tensor
+from convkit import layers, tensor
 from convkit.activations import ActivationKind, apply
 from convkit.errors import GeometryError, ShapeError, UnsupportedError
 from convkit.layers import (
@@ -86,6 +86,58 @@ def maxpool_oracle(act, window, stride):
                             cols[c, i, j] = j * stride + dv
                 pooled[c, i, j] = best
     return pooled, rows, cols
+
+
+def strided_taps_oracle(image, g):
+    """The earlier ``_taps``: a read-only (in_c, k_h, k_w, h1, w1) strided
+    view of the zero-padded C-order image, kept as a bit-level oracle for
+    the gather through the cached table."""
+    image = np.ascontiguousarray(image, dtype=np.float64)
+    if g.pad:
+        image = np.pad(image, ((0, 0), (g.pad, g.pad), (g.pad, g.pad)))
+    h1, w1, _ = conv_output_dims(g)
+    sc, sh, sw = image.strides
+    shape = (g.in_c, g.k_h, g.k_w, h1, w1)
+    strides = (sc, sh, sw, sh * g.stride, sw * g.stride)
+    taps = np.ndarray(shape, np.float64, buffer=image, strides=strides)
+    taps.flags.writeable = False
+    return taps
+
+
+def strided_conv_forward_oracle(image, bank):
+    """The earlier conv_forward pre-activation, over the strided tap view."""
+    g = bank.geometry
+    h1, w1, d1 = conv_output_dims(g)
+    n_taps = g.in_c * g.k_h * g.k_w
+    taps = strided_taps_oracle(image, g)
+    kernels = bank.kernels.reshape(d1, n_taps).T[:, :, None, None]
+    products = np.multiply(kernels, taps.reshape(n_taps, 1, h1, w1), order="C")
+    preact = tensor.sum_rows(products.reshape(n_taps, -1), initial=0.0)
+    return preact.reshape(d1, h1, w1) + bank.biases[:, None, None]
+
+
+def strided_conv_backward_oracle(grad, image, bank):
+    """The earlier conv_backward kernel gradient, over the strided tap view."""
+    g = bank.geometry
+    h1, w1, d1 = conv_output_dims(g)
+    taps = strided_taps_oracle(image, g)
+    products = np.multiply(grad[:, None, None, None], taps[None], order="C")
+    return products.reshape(d1, g.in_c, g.k_h, g.k_w, h1 * w1).sum(axis=-1)
+
+
+def random_geometry(rng, stride=None):
+    """A conv geometry with in_c 1-3, pad 0-2, stride 1-2 and independent
+    kernel and input heights and widths, integral by construction."""
+    in_c, k_h, k_w = (int(x) for x in rng.integers(1, 4, 3))
+    k_w += int(rng.integers(0, 2))  # non-square kernels
+    stride = stride or int(rng.integers(1, 3))
+    pad = int(rng.integers(0, 3))
+    in_h = max(k_h - 2 * pad, 0) + stride * int(rng.integers(1, 6))
+    in_w = max(k_w - 2 * pad, 0) + stride * int(rng.integers(1, 6))
+    # keep (in + 2*pad - k) a multiple of the stride
+    in_h += (k_h - in_h - 2 * pad) % stride
+    in_w += (k_w - in_w - 2 * pad) % stride
+    return ConvGeometry(in_h, in_w, in_c, k_h, k_w, int(rng.integers(1, 4)), stride, pad)
 
 
 def plane_loop_maxpool_oracle(act, window, stride):
@@ -331,15 +383,78 @@ class TestConvForward:
             assert got.tobytes() == want.tobytes()
             assert trace.input.tobytes() == image.tobytes()
 
-    def test_tap_view_read_only(self):
-        image = np.arange(2 * 5 * 5, dtype=np.float64).reshape(2, 5, 5)
-        g = ConvGeometry(5, 5, 2, 3, 3, 1)
-        taps = _taps(image, g, 3, 3)
-        assert taps.shape == (2, 3, 3, 3, 3) and not taps.flags.writeable
-        assert np.shares_memory(taps, image)
-        with pytest.raises(ValueError):
-            taps[0, 0, 0, 0, 0] = 1.0
-        assert taps[1, 2, 1, 0, 2] == image[1, 2, 3]
+
+class TestGatherTables:
+    """The conv gather against the strided tap view it replaced, and the
+    safety of the cached index tables."""
+
+    def test_taps_match_strided_view(self):
+        rng = np.random.default_rng(80)
+        for _ in range(60):
+            g = random_geometry(rng)
+            image = rng.standard_normal((g.in_c, g.in_h, g.in_w))
+            want = strided_taps_oracle(image, g)
+            got = _taps(image, g)
+            n_taps = g.in_c * g.k_h * g.k_w
+            assert got.shape == (n_taps, want.shape[3] * want.shape[4]), g
+            assert got.tobytes() == want.reshape(n_taps, -1).tobytes(), g
+
+    def test_conv_passes_match_strided_view(self):
+        rng = np.random.default_rng(81)
+        seen = set()
+        for n in range(60):
+            g = random_geometry(rng, stride=1 if n % 2 else None)
+            seen.add((g.in_c, g.pad, g.stride, g.in_h != g.in_w, g.k_h != g.k_w))
+            bank = KernelBank(
+                kernels=rng.standard_normal((g.n_kernels, g.in_c, g.k_h, g.k_w))
+                * 10.0 ** rng.integers(-6, 7, (g.n_kernels, g.in_c, g.k_h, g.k_w)),
+                biases=rng.standard_normal(g.n_kernels),
+                geometry=g,
+            )
+            image = rng.standard_normal((g.in_c, g.in_h, g.in_w))
+            preact, _, _ = conv_forward(image, bank, RELU)
+            assert preact.tobytes() == strided_conv_forward_oracle(image, bank).tobytes(), g
+            if g.stride == 1:
+                grad = rng.standard_normal(preact.shape)
+                gk, _ = conv_backward(grad, image, bank)
+                want = strided_conv_backward_oracle(grad, image, bank)
+                assert gk.tobytes() == want.tobytes(), g
+        assert {s[0] for s in seen} == {1, 2, 3} and {s[1] for s in seen} == {0, 1, 2}
+        assert {s[2] for s in seen} == {1, 2} and all(any(s[i] for s in seen) for i in (3, 4))
+
+    def test_tables_read_only_and_outputs_not_views(self):
+        rng = np.random.default_rng(82)
+        bank = random_bank(rng, 6, 8, 2, 3, 3, pad=1)
+        image = rng.standard_normal((2, 6, 8))
+        pool = PoolGeometry(2, 2)
+
+        def run():
+            preact, act, conv_trace = conv_forward(image, bank, RELU)
+            pooled, pool_trace = maxpool_forward(act, pool)
+            taps = _taps(image, bank.geometry)
+            return [preact, act, conv_trace.preact, pooled, pool_trace.argmax_rows,
+                    pool_trace.argmax_cols, taps]
+
+        outputs = run()
+        want = [a.copy() for a in outputs]
+        tables = [t for entry in layers._TABLES.values() for t in entry]
+        assert len(tables) >= 5
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table.flat[0] = 0
+        for out in outputs:
+            assert not any(np.shares_memory(out, t) for t in tables)
+            out[...] = -7
+        for got, expect in zip(run(), want):
+            assert got.tobytes() == expect.tobytes()
+
+    def test_cache_stays_bounded(self):
+        for n in range(1, 2 * layers._MAX_TABLES):
+            g = ConvGeometry(n + 2, 3, 1, 3, 3, 1)
+            _taps(np.zeros((1, n + 2, 3)), g)
+            assert g in layers._TABLES
+            assert len(layers._TABLES) <= layers._MAX_TABLES
 
 
 class TestConvBackward:

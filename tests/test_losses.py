@@ -9,6 +9,13 @@ from convkit.losses import CE_EPS, LossKind, ce_grad, loss
 ALL_KINDS = list(LossKind)
 
 
+def two_log_cross_entropy(yhat, y):
+    """The earlier cross-entropy, which takes both logs of every component
+    and weights them by the label, kept as a bit-level oracle."""
+    yc = np.minimum(np.maximum(yhat, CE_EPS), 1.0 - CE_EPS)
+    return float(-(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc)).sum() / len(y))
+
+
 def random_valid_pair(rng, kind, t):
     """Random (yhat, y) inside the loss's domain."""
     if kind == LossKind.CROSS_ENTROPY:
@@ -115,6 +122,47 @@ class TestProperties:
             assert loss(LossKind.L1, yhat, y) == pytest.approx(
                 t * loss(LossKind.MAE, yhat, y), rel=1e-15
             )
+
+
+class TestCrossEntropyOneLog:
+    """loss(CROSS_ENTROPY) against the two-log form it replaced: equal bytes."""
+
+    EDGES = [0.0, -0.0, CE_EPS, 0.5, 1.0 - CE_EPS, 1.0, 5e-324, 2.2e-308, -1.0, 2.0]
+
+    @staticmethod
+    def same_bytes(yhat, y):
+        got = loss(LossKind.CROSS_ENTROPY, yhat, y)
+        want = two_log_cross_entropy(yhat, y)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (yhat, y)
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_edge_values_one_component(self, label):
+        for v in self.EDGES:
+            self.same_bytes(np.array([v]), np.array([label]))
+
+    def test_edge_values_mixed_labels(self):
+        yhat = np.array(self.EDGES * 2)
+        y = np.repeat([0.0, 1.0], len(self.EDGES))
+        self.same_bytes(yhat, y)
+        self.same_bytes(yhat[::-1].copy(), y)
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 8, 9, 10, 17, 130])
+    def test_random_values(self, t):
+        # t spans numpy's pairwise-sum unrolling (blocks of 8)
+        rng = np.random.default_rng(70 + t)
+        for _ in range(20):
+            yhat = rng.uniform(size=t) ** rng.integers(1, 40)
+            y = (rng.uniform(size=t) < 0.5).astype(np.float64)
+            self.same_bytes(yhat, y)
+            self.same_bytes(1.0 - yhat, y)
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_nan_prediction_is_not_finite(self, label):
+        yhat = np.array([0.5, np.nan, 0.25])
+        y = np.array([1.0, label, 0.0])
+        with np.errstate(invalid="ignore"):
+            assert not math.isfinite(loss(LossKind.CROSS_ENTROPY, yhat, y))
+            assert not math.isfinite(two_log_cross_entropy(yhat, y))
 
 
 class TestCrossEntropyGrad:
