@@ -158,6 +158,12 @@ def _network_and_data(cfg: RunConfig) -> tuple[net_mod.Network, Dataset]:
     pad = cfg.intval("conv.pad", 0)
     pool = (cfg.intval("pool.window", 1), cfg.intval("pool.stride", 1))
     widths = cfg.widths("dense.widths")
+    try:
+        # The labels alone take N * widths[-1] elements: refuse what the
+        # widths make too large before any data is read.
+        net_mod.check_parameter_count(n_kernels * (size * size + 1), 1, widths)
+    except ShapeError as e:
+        raise ConfigError(f"invalid architecture: {e}") from e
     data = _load_dataset(cfg, class_count=widths[-1])
     _, in_h, in_w = data.images[0].shape
     # Bad geometry and an oversized parameter count come from config

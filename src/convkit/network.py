@@ -55,6 +55,40 @@ class Architecture:
         return h2 * w2 * d2
 
 
+def _check_layer_arrays(conv: ConvGeometry, pool: PoolGeometry) -> None:
+    """Raise ``ShapeError`` when one sample's conv tap gather, conv products
+    or pool window planes would hold more than ``tensor.MAX_ELEMENTS``
+    elements. The parameter bound does not bound them: a large pad grows
+    them without adding a parameter."""
+    h1, w1, d1 = conv_output_dims(conv)
+    h2, w2, d2 = pool_output_dims(h1, w1, d1, pool)
+    n_taps = conv.in_c * conv.k_h * conv.k_w
+    for name, size in (
+        ("conv taps", n_taps * h1 * w1),
+        ("conv products", n_taps * d1 * h1 * w1),
+        ("pool windows", pool.window**2 * d2 * h2 * w2),
+    ):
+        if size > tensor.MAX_ELEMENTS:
+            raise ShapeError(
+                f"{name} would hold {size} elements, more than {tensor.MAX_ELEMENTS}"
+            )
+
+
+def check_parameter_count(n_conv: int, n_in: int, widths: Iterable[int]) -> None:
+    """Raise ``ShapeError`` when ``n_conv`` conv parameters plus a dense
+    stack of ``widths`` on an ``n_in``-wide input exceed
+    ``tensor.MAX_ELEMENTS``. The count grows with ``n_in``, so ``n_in=1``
+    checks what the widths fix on their own."""
+    n_params = n_conv
+    for width in widths:
+        n_params, n_in = n_params + width * (n_in + 1), width
+    if n_params > tensor.MAX_ELEMENTS:
+        raise ShapeError(
+            f"architecture has at least {n_params} parameters, "
+            f"more than {tensor.MAX_ELEMENTS}"
+        )
+
+
 @dataclass
 class Network:
     """Parameters and topology: conv -> pool -> flatten -> dense stack.
@@ -75,6 +109,7 @@ class Network:
     def __post_init__(self):
         if not self.dense:
             raise ShapeError("network needs at least one dense layer")
+        _check_layer_arrays(self.bank.geometry, self.pool)
         h1, w1, d1 = conv_output_dims(self.bank.geometry)
         h2, w2, d2 = pool_output_dims(h1, w1, d1, self.pool)
         flat = h2 * w2 * d2
@@ -150,19 +185,15 @@ def init(arch: Architecture, seed: int) -> Network:
     if not 0 <= seed < 1 << 64:
         raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
     g = arch.conv
-    n_params, n_in = g.n_kernels * (g.in_c * g.k_h * g.k_w + 1), arch.flat_length()
-    for width in arch.dense_widths:
-        n_params, n_in = n_params + width * (n_in + 1), width
-    if n_params > tensor.MAX_ELEMENTS:
-        raise ShapeError(
-            f"architecture has {n_params} parameters, more than {tensor.MAX_ELEMENTS}"
-        )
+    flat = arch.flat_length()
+    check_parameter_count(g.n_kernels * (g.in_c * g.k_h * g.k_w + 1), flat, arch.dense_widths)
+    _check_layer_arrays(g, arch.pool)
     rng = np.random.Generator(np.random.PCG64(seed))
     bound = 1.0 / np.sqrt(g.in_c * g.k_h * g.k_w)
     kernels = rng.uniform(-bound, bound, size=(g.n_kernels, g.in_c, g.k_h, g.k_w))
     bank = KernelBank(kernels=kernels, biases=np.zeros(g.n_kernels), geometry=g)
     layers = []
-    n_in = arch.flat_length()
+    n_in = flat
     last = len(arch.dense_widths) - 1
     for i, width in enumerate(arch.dense_widths):
         bound = 1.0 / np.sqrt(n_in)

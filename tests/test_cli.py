@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from convkit import network as nm
+from convkit import tensor
 from convkit.activations import ActivationKind
 from convkit.cli import main
 from convkit.layers import ConvGeometry, DenseLayer, KernelBank, PoolGeometry
@@ -323,6 +325,51 @@ def test_config_error_exits_1_writing_nothing(tmp_path, capsys, command, case):
     assert [p.name for p in tmp_path.iterdir()] == ["train.cfg"]
 
 
+def traced_main(argv):
+    """main(argv) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_oversized_layer_arrays_refused_before_allocating(tmp_path, capsys, command):
+    # 108,216,170 parameters pass the parameter bound; the conv products of
+    # one sample would be 9 x 6006 x 6006 x 6 = 1,947,889,944 elements.
+    cfg = train_config(tmp_path, drop="conv.pad",
+                       extra="conv.pad=3000\nconv.kernels=6\ndense.widths=2")
+    code, peak = traced_main([command, cfg])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "conv products would hold 1947889944" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["train.cfg"]
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_model_with_oversized_layer_arrays_is_data_error(tmp_path, capsys, command):
+    # pad 3000 on 8x8 with 6 kernels of 3x3, one 6006x6006 pool window:
+    # 74 parameters, 1,947,889,944 conv products per sample
+    head = struct.pack("<4sI8I2II", b"CNNF", 1, 8, 8, 1, 3, 3, 6, 1, 3000, 6006, 1, 1)
+    layer = struct.pack("<IIB", 6, 2, int(ActivationKind.SIGMOID))
+    model = tmp_path / "padded.cnnf"
+    model.write_bytes(head + layer + np.zeros(74).tobytes())
+    image = write_pgm(tmp_path, "x.pgm", 8, 8)
+    cfg = train_config(tmp_path)
+    argv = ["eval", str(model), cfg] if command == "eval" else ["predict", str(model), image]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, peak = traced_main(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "conv products would hold 1947889944" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "gradcheck"])
 def test_config_not_utf8_is_config_error(tmp_path, capsys, command):
     model = zero_model(tmp_path)
@@ -480,6 +527,25 @@ class TestIdxSource:
         assert "extents 0x8" in capsys.readouterr().err
         assert not (tmp_path / "m.cnnf").exists()
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_oversized_widths_refused_before_loading(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        # The 12 x 200,000 label array alone would be 19.2 MB.
+        monkeypatch.setattr(tensor, "MAX_ELEMENTS", 10**5)
+        img_path, lbl_path = self.write_idx_pair(tmp_path)
+        cfg = write_config(
+            tmp_path, "idx.cfg", drop="dense.widths",
+            extra=f"dense.widths=8,200000\ndata.source=idx:{img_path},{lbl_path}",
+            out_model=str(tmp_path / "m.cnnf"),
+            out_csv=str(tmp_path / "m.csv"),
+        )
+        code, peak = traced_main([command, cfg])
+        assert code == 1
+        assert "parameters, more than 100000" in capsys.readouterr().err
+        assert not (tmp_path / "m.cnnf").exists()
+        assert not (tmp_path / "m.csv").exists()
+        assert peak < 1 << 20
 
     def test_missing_idx_file_is_data_error(self, tmp_path, capsys):
         cfg = write_config(

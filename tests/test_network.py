@@ -100,12 +100,51 @@ class TestInit:
         assert np.all((w >= -a) & (w <= a))
 
     def test_parameter_count_limit(self, monkeypatch):
-        # the fixture has 2*9 + 2 conv and 8*18 + 8 + 2*8 + 2 dense parameters
-        monkeypatch.setattr(tensor, "MAX_ELEMENTS", 190)
-        assert fixture_net(0).params.size == 190
-        monkeypatch.setattr(tensor, "MAX_ELEMENTS", 189)
-        with pytest.raises(ShapeError, match="190 parameters"):
-            fixture_net(0)
+        # 2*9 + 2 conv and 40*18 + 40 + 2*40 + 2 dense parameters: more than
+        # the largest layer array (648 conv products), which the bound also
+        # covers
+        arch = replace(FIXTURE_ARCH, dense_widths=(40, 2))
+        monkeypatch.setattr(tensor, "MAX_ELEMENTS", 862)
+        assert nm.init(arch, 0).params.size == 862
+        monkeypatch.setattr(tensor, "MAX_ELEMENTS", 861)
+        with pytest.raises(ShapeError, match="862 parameters"):
+            nm.init(arch, 0)
+
+    @pytest.mark.parametrize("arch, name, size", [
+        # 9 taps x 36 outputs x 2 kernels
+        (FIXTURE_ARCH, "conv products", 648),
+        # 1x1 kernel on 12x12, 6x6 pool windows at stride 1: 36 x 7 x 7
+        (nm.Architecture(ConvGeometry(12, 12, 1, 1, 1, 1), PoolGeometry(6, 1), (2,)),
+         "pool windows", 1764),
+        # 3 channels x 9 taps x 9 outputs, one kernel
+        (nm.Architecture(ConvGeometry(5, 5, 3, 3, 3, 1), PoolGeometry(1, 1), (2,)),
+         "conv taps", 243),
+    ])
+    def test_layer_array_limit(self, monkeypatch, arch, name, size):
+        monkeypatch.setattr(tensor, "MAX_ELEMENTS", size)
+        net = nm.init(arch, 0)
+        monkeypatch.setattr(tensor, "MAX_ELEMENTS", size - 1)
+        message = f"{name} would hold {size} elements"
+        with pytest.raises(ShapeError, match=message):
+            nm.init(arch, 0)
+        with pytest.raises(ShapeError, match=message):
+            nm.Network(bank=net.bank, conv_activation=net.conv_activation,
+                       pool=net.pool, dense=net.dense)
+
+    def test_oversized_layer_arrays_rejected_before_allocating(self):
+        # 108,216,170 parameters, under the bound; the conv products of one
+        # sample would be 9 x 6006 x 6006 x 6 = 1,947,889,944 elements
+        arch = nm.Architecture(
+            ConvGeometry(8, 8, 1, 3, 3, 6, pad=3000), PoolGeometry(2, 2), (2,)
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match="conv products would hold 1947889944"):
+                nm.init(arch, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_oversized_architecture_rejected_before_allocating(self):
         conv = ConvGeometry(8, 8, 1, 3, 3, 2)
