@@ -2,7 +2,9 @@
 update and a whole network's forward and backward at the benchmark's two
 geometries: bars (8x8 input, 6 kernels of 3x3, 2x2 pool, dense 32,2: first
 dense layer 54 -> 32) and MNIST (28x28 input, 8 kernels of 5x5, 2x2 pool,
-dense 64,10: first dense layer 1152 -> 64).
+dense 64,10: first dense layer 1152 -> 64). The conv cases also run a
+padded 2-channel bars geometry (8x8x2 input, 6 kernels of 3x3, pad 1),
+a path no benchmark workload takes.
 
 Run from the repository root with::
 
@@ -39,6 +41,7 @@ GEOMETRIES = {
     "bars": ConvGeometry(8, 8, 1, 3, 3, 6),
     "mnist": ConvGeometry(28, 28, 1, 5, 5, 8),
 }
+CONV_GEOMETRIES = {**GEOMETRIES, "bars-2ch-pad1": ConvGeometry(8, 8, 2, 3, 3, 6, pad=1)}
 POOL = PoolGeometry(2, 2)
 DENSE = {"bars": (54, 32), "mnist": (1152, 64)}  # (n_in, n_out)
 WIDTHS = {"bars": (32, 2), "mnist": (64, 10)}
@@ -55,15 +58,15 @@ def operands(g: ConvGeometry):
     return bank, image, rng.standard_normal((d1, h1, w1))
 
 
-@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
 def test_conv_forward(benchmark, geometry):
-    bank, image, _ = operands(GEOMETRIES[geometry])
+    bank, image, _ = operands(CONV_GEOMETRIES[geometry])
     benchmark(conv_forward, image, bank, ActivationKind.RELU)
 
 
-@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
 def test_conv_backward(benchmark, geometry):
-    bank, image, grad = operands(GEOMETRIES[geometry])
+    bank, image, grad = operands(CONV_GEOMETRIES[geometry])
     benchmark(conv_backward, grad, image, bank)
 
 

@@ -16,10 +16,14 @@ Conventions fixed here once:
   the backward ``W^T delta`` sum in ascending index order (over j and
   over i respectively) with one accumulator per output element, through
   ``tensor.sum_rows``.
-* Max-pool ties break to the first maximum in row-major window order,
-  over window planes copied from one strided view of the input; the
-  pooled value is the winner's own bits. Backward adds the gradients at
-  the winners in pooled row-major order.
+* Max-pool ties break to the first maximum in row-major window order;
+  the pooled value is the winner's own bits. Backward adds the gradients
+  at the winners in pooled row-major order.
+* Conv taps and pool windows are gathered with ``take`` through index
+  tables that depend only on the geometry. Each table is built once,
+  kept read-only in a small cache, and never returned: every output is
+  a new array. The gathers replaced strided views without changing any
+  sum order.
 """
 
 from __future__ import annotations

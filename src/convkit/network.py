@@ -56,16 +56,14 @@ class Architecture:
 
 
 def _check_layer_arrays(conv: ConvGeometry, pool: PoolGeometry) -> None:
-    """Raise ``ShapeError`` when one sample's conv tap gather, conv products
-    or pool window planes would hold more than ``tensor.MAX_ELEMENTS``
-    elements. The parameter bound does not bound them: a large pad grows
-    them without adding a parameter."""
+    """Raise ``ShapeError`` when one sample's conv products (at least as
+    large as its tap gather) or pool window planes would hold more than
+    ``tensor.MAX_ELEMENTS`` elements. The parameter bound does not bound
+    them: a large pad grows them without adding a parameter."""
     h1, w1, d1 = conv_output_dims(conv)
     h2, w2, d2 = pool_output_dims(h1, w1, d1, pool)
-    n_taps = conv.in_c * conv.k_h * conv.k_w
     for name, size in (
-        ("conv taps", n_taps * h1 * w1),
-        ("conv products", n_taps * d1 * h1 * w1),
+        ("conv products", conv.in_c * conv.k_h * conv.k_w * d1 * h1 * w1),
         ("pool windows", pool.window**2 * d2 * h2 * w2),
     ):
         if size > tensor.MAX_ELEMENTS:

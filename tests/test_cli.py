@@ -325,6 +325,10 @@ def test_config_error_exits_1_writing_nothing(tmp_path, capsys, command, case):
     assert [p.name for p in tmp_path.iterdir()] == ["train.cfg"]
 
 
+def refuse_forward(*args):
+    raise AssertionError("an oversized geometry reached network.forward")
+
+
 def traced_main(argv):
     """main(argv) and the tracemalloc peak of the call, in bytes."""
     tracemalloc.start()
@@ -337,9 +341,13 @@ def traced_main(argv):
 
 
 @pytest.mark.parametrize("command", ["train", "gradcheck"])
-def test_oversized_layer_arrays_refused_before_allocating(tmp_path, capsys, command):
+def test_oversized_layer_arrays_refused_before_allocating(tmp_path, capsys,
+                                                          monkeypatch, command):
     # 108,216,170 parameters pass the parameter bound; the conv products of
     # one sample would be 9 x 6006 x 6006 x 6 = 1,947,889,944 elements.
+    # Should the check fail, the test fails before a forward pass tries to
+    # allocate them.
+    monkeypatch.setattr(nm, "forward", refuse_forward)
     cfg = train_config(tmp_path, drop="conv.pad",
                        extra="conv.pad=3000\nconv.kernels=6\ndense.widths=2")
     code, peak = traced_main([command, cfg])
@@ -351,9 +359,11 @@ def test_oversized_layer_arrays_refused_before_allocating(tmp_path, capsys, comm
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
-def test_model_with_oversized_layer_arrays_is_data_error(tmp_path, capsys, command):
+def test_model_with_oversized_layer_arrays_is_data_error(tmp_path, capsys,
+                                                         monkeypatch, command):
     # pad 3000 on 8x8 with 6 kernels of 3x3, one 6006x6006 pool window:
     # 74 parameters, 1,947,889,944 conv products per sample
+    monkeypatch.setattr(nm, "forward", refuse_forward)
     head = struct.pack("<4sI8I2II", b"CNNF", 1, 8, 8, 1, 3, 3, 6, 1, 3000, 6006, 1, 1)
     layer = struct.pack("<IIB", 6, 2, int(ActivationKind.SIGMOID))
     model = tmp_path / "padded.cnnf"

@@ -116,9 +116,9 @@ class TestInit:
         # 1x1 kernel on 12x12, 6x6 pool windows at stride 1: 36 x 7 x 7
         (nm.Architecture(ConvGeometry(12, 12, 1, 1, 1, 1), PoolGeometry(6, 1), (2,)),
          "pool windows", 1764),
-        # 3 channels x 9 taps x 9 outputs, one kernel
+        # 3 channels x 9 taps x 9 outputs x 1 kernel
         (nm.Architecture(ConvGeometry(5, 5, 3, 3, 3, 1), PoolGeometry(1, 1), (2,)),
-         "conv taps", 243),
+         "conv products", 243),
     ])
     def test_layer_array_limit(self, monkeypatch, arch, name, size):
         monkeypatch.setattr(tensor, "MAX_ELEMENTS", size)
