@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import network as net_mod
+from . import tensor
 from .activations import ActivationKind, apply
 from .dataio import Dataset, dataset_from_idx, load_pgm, normalize, synth_bars
 from .errors import (
@@ -159,15 +160,19 @@ def _network_and_data(cfg: RunConfig) -> tuple[net_mod.Network, Dataset]:
     pool = (cfg.intval("pool.window", 1), cfg.intval("pool.stride", 1))
     widths = cfg.widths("dense.widths")
     try:
-        # The labels alone take N * widths[-1] elements: refuse what the
-        # widths make too large before any data is read.
-        net_mod.check_parameter_count(n_kernels * (size * size + 1), 1, widths)
+        # Refuse what the keys alone make too large before any data is
+        # read: a 1x1 conv output and no pooling are the smallest arrays
+        # any input size gives.
+        smallest = net_mod.Architecture(
+            ConvGeometry(size, size, 1, size, size, n_kernels), PoolGeometry(1, 1), widths
+        )
+        tensor.check_bytes(smallest.array_bytes())
     except ShapeError as e:
         raise ConfigError(f"invalid architecture: {e}") from e
     data = _load_dataset(cfg, class_count=widths[-1])
     _, in_h, in_w = data.images[0].shape
-    # Bad geometry and an oversized parameter count come from config
-    # values, so they report as config errors.
+    # Bad geometry and oversized arrays come from config values, so they
+    # report as config errors.
     try:
         conv = ConvGeometry(in_h, in_w, 1, size, size, n_kernels, pad=pad)
         arch = net_mod.Architecture(conv, PoolGeometry(*pool), widths)

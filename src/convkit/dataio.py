@@ -15,9 +15,6 @@ from .errors import DomainError, ParseError, ShapeError, TruncationError
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-# Rejects headers whose claimed payload would be absurd.
-MAX_IDX_BYTES = 1 << 31
-
 
 @dataclass
 class Dataset:
@@ -79,11 +76,9 @@ def load_idx_images(source: str | BinaryIO) -> np.ndarray:
     count, rows, cols = struct.unpack(">III", blob[4:16])
     if rows < 1 or cols < 1:
         raise ParseError(f"IDX image extents {rows}x{cols} must be positive")
-    if count * rows * cols > MAX_IDX_BYTES:
-        raise ParseError(
-            f"IDX dimensions overflow: {count} x {rows} x {cols} bytes claimed"
-        )
     need = count * rows * cols
+    # dataset_from_idx makes the pixels float64
+    tensor.check_bytes({"IDX images": 8 * need})
     if len(blob) - 16 != need:
         raise TruncationError(
             f"IDX payload holds {len(blob) - 16} bytes, header claims {need}"
@@ -110,8 +105,6 @@ def load_idx_labels(source: str | BinaryIO) -> np.ndarray:
     if len(blob) < 8:
         raise TruncationError(f"IDX label header needs 8 bytes, have {len(blob)}")
     count = struct.unpack(">I", blob[4:8])[0]
-    if count > MAX_IDX_BYTES:
-        raise ParseError(f"IDX dimensions overflow: {count} labels claimed")
     if len(blob) - 8 != count:
         raise TruncationError(
             f"IDX payload holds {len(blob) - 8} labels, header claims {count}"
@@ -214,6 +207,7 @@ def dataset_from_idx(
     outside = indices[indices >= class_count]
     if outside.size:
         raise DomainError(f"label {outside[0]} outside [0, {class_count})")
+    tensor.check_bytes({"IDX labels": 8 * len(indices) * class_count})
     labels = (indices[:, None] == np.arange(class_count)).astype(np.float64)
     return Dataset(images=raws[:, None] / 255.0, labels=labels, class_count=class_count)
 
@@ -228,8 +222,7 @@ def synth_bars(n: int, h: int, w: int, seed: int) -> Dataset:
         raise DomainError(f"extents must be >= 4, got {h}x{w}")
     if n < 2 or n % 2:
         raise DomainError(f"sample count must be even and >= 2, got {n}")
-    if n * h * w > tensor.MAX_ELEMENTS:  # before any image is allocated
-        raise ShapeError(f"shape {(n, h, w)} exceeds {tensor.MAX_ELEMENTS} elements")
+    tensor.check_bytes({"bars images": 8 * n * h * w})  # the labels take less
     rng = np.random.Generator(np.random.PCG64(seed))
     images = np.empty((n, 1, h, w))
     labels = np.repeat(np.eye(2), n // 2, axis=0)

@@ -28,6 +28,7 @@ Conventions fixed here once:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,33 +171,22 @@ class ForwardTrace:
 
 
 # Index tables depend only on a layer's geometry, so each is built once
-# and kept read-only. The cache is emptied when it reaches _MAX_TABLES
-# entries, so a run over many geometries cannot grow it without bound.
-_TABLES: dict = {}
-_MAX_TABLES = 64
-
-
-def _remember(key, *tables: np.ndarray) -> tuple[np.ndarray, ...]:
-    if len(_TABLES) >= _MAX_TABLES:
-        _TABLES.clear()
-    for table in tables:
-        table.flags.writeable = False
-    _TABLES[key] = tables
-    return tables
-
-
+# and kept read-only. The bound keeps a run over many geometries from
+# growing the caches without end.
+@functools.lru_cache(maxsize=64)
 def _tap_table(g: ConvGeometry) -> np.ndarray:
     """(n_taps, h1*w1) flat positions in the zero-padded C-order image:
     row t is tap t = (c, u, v) in ascending order, column i*w1 + j is
-    output (i, j)."""
-    hit = _TABLES.get(g)
-    if hit is not None:
-        return hit[0]
+    output (i, j). One broadcast add of a per-tap and a per-output part,
+    so no temporary is as large as the table."""
     h1, w1, _ = conv_output_dims(g)
     hp, wp = g.in_h + 2 * g.pad, g.in_w + 2 * g.pad
-    c, u, v = np.indices((g.in_c, g.k_h, g.k_w)).reshape(3, -1, 1)
-    i, j = np.indices((h1, w1)).reshape(2, 1, -1) * g.stride
-    return _remember(g, (c * hp + u + i) * wp + v + j)[0]
+    c, u, v = np.ogrid[: g.in_c, : g.k_h, : g.k_w]
+    i, j = np.ogrid[:h1, :w1]
+    per_tap = ((c * hp + u) * wp + v).reshape(-1, 1)
+    table = per_tap + ((i * wp + j) * g.stride).reshape(1, -1)
+    table.flags.writeable = False
+    return table
 
 
 def _taps(image: np.ndarray, g: ConvGeometry) -> np.ndarray:
@@ -237,23 +227,32 @@ def conv_forward(
     return preact, act, ForwardTrace(input=image, preact=preact)
 
 
+@functools.lru_cache(maxsize=64)
 def _window_table(g: PoolGeometry, d1: int, h1: int, w1: int) -> tuple[np.ndarray, ...]:
     """Index tables of max-pooling a (d1, h1, w1) C-order map.
 
     The first three are (k*k, n) over the n = d2*h2*w2 pooled outputs in
     row-major order and the window entries in row-major (du, dv) order: each
     entry's flat input position, its absolute row and its absolute
-    column. The fourth is arange(n).
+    column. The fourth is arange(n). Each (k*k, n) table is one broadcast
+    add of a per-entry and a per-output part.
     """
-    key = (g, d1, h1, w1)
-    hit = _TABLES.get(key)
-    if hit is not None:
-        return hit
     h2, w2, d2 = pool_output_dims(h1, w1, d1, g)
     du, dv = np.indices((g.window, g.window)).reshape(2, -1, 1)
-    c, i, j = np.indices((d2, h2, w2)).reshape(3, 1, -1)
-    rows, cols = i * g.stride + du, j * g.stride + dv
-    return _remember(key, (c * h1 + rows) * w1 + cols, rows, cols, np.arange(d2 * h2 * w2))
+    c, i, j = np.ogrid[:d2, : h2 * g.stride : g.stride, : w2 * g.stride : g.stride]
+
+    def outputs(a: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(a, (d2, h2, w2)).reshape(1, -1)
+
+    tables = (
+        outputs((c * h1 + i) * w1 + j) + (du * w1 + dv),
+        outputs(i) + du,
+        outputs(j) + dv,
+        np.arange(d2 * h2 * w2),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def maxpool_forward(

@@ -54,37 +54,24 @@ class Architecture:
         h2, w2, d2 = pool_output_dims(h1, w1, d1, self.pool)
         return h2 * w2 * d2
 
-
-def _check_layer_arrays(conv: ConvGeometry, pool: PoolGeometry) -> None:
-    """Raise ``ShapeError`` when one sample's conv products (at least as
-    large as its tap gather) or pool window planes would hold more than
-    ``tensor.MAX_ELEMENTS`` elements. The parameter bound does not bound
-    them: a large pad grows them without adding a parameter."""
-    h1, w1, d1 = conv_output_dims(conv)
-    h2, w2, d2 = pool_output_dims(h1, w1, d1, pool)
-    for name, size in (
-        ("conv products", conv.in_c * conv.k_h * conv.k_w * d1 * h1 * w1),
-        ("pool windows", pool.window**2 * d2 * h2 * w2),
-    ):
-        if size > tensor.MAX_ELEMENTS:
-            raise ShapeError(
-                f"{name} would hold {size} elements, more than {tensor.MAX_ELEMENTS}"
-            )
-
-
-def check_parameter_count(n_conv: int, n_in: int, widths: Iterable[int]) -> None:
-    """Raise ``ShapeError`` when ``n_conv`` conv parameters plus a dense
-    stack of ``widths`` on an ``n_in``-wide input exceed
-    ``tensor.MAX_ELEMENTS``. The count grows with ``n_in``, so ``n_in=1``
-    checks what the widths fix on their own."""
-    n_params = n_conv
-    for width in widths:
-        n_params, n_in = n_params + width * (n_in + 1), width
-    if n_params > tensor.MAX_ELEMENTS:
-        raise ShapeError(
-            f"architecture has at least {n_params} parameters, "
-            f"more than {tensor.MAX_ELEMENTS}"
-        )
+    def array_bytes(self) -> dict[str, int]:
+        """Bytes of each float64 array whose size the architecture fixes,
+        for ``tensor.check_bytes``. The parameters bound the dense
+        products, which form at weight size. One sample's conv products
+        bound its taps and its int64 tap table; the pool window planes
+        bound the int64 window tables. A large pad grows the conv arrays
+        without adding a parameter, so each is counted."""
+        g, flat = self.conv, self.flat_length()
+        h1, w1, d1 = conv_output_dims(g)
+        n_taps = g.in_c * g.k_h * g.k_w
+        n_params, n_in = d1 * (n_taps + 1), flat
+        for width in self.dense_widths:
+            n_params, n_in = n_params + width * (n_in + 1), width
+        return {
+            "parameters": 8 * n_params,
+            "conv products": 8 * n_taps * d1 * h1 * w1,
+            "pool windows": 8 * self.pool.window**2 * flat,
+        }
 
 
 @dataclass
@@ -107,17 +94,17 @@ class Network:
     def __post_init__(self):
         if not self.dense:
             raise ShapeError("network needs at least one dense layer")
-        _check_layer_arrays(self.bank.geometry, self.pool)
-        h1, w1, d1 = conv_output_dims(self.bank.geometry)
-        h2, w2, d2 = pool_output_dims(h1, w1, d1, self.pool)
-        flat = h2 * w2 * d2
-        n_in = flat
+        arch = Architecture(
+            self.bank.geometry, self.pool, tuple(layer.n_out for layer in self.dense)
+        )
+        n_in = arch.flat_length()
         for i, layer in enumerate(self.dense):
             if layer.n_in != n_in:
                 raise ShapeError(
                     f"dense[{i}] expects {layer.n_in} inputs, chain provides {n_in}"
                 )
             n_in = layer.n_out
+        tensor.check_bytes(arch.array_bytes())
         self.bank = replace(self.bank)
         self.dense = [replace(layer) for layer in self.dense]
         slots = _slots(self)
@@ -182,16 +169,14 @@ def init(arch: Architecture, seed: int) -> Network:
         raise ShapeError("architecture needs at least one dense width")
     if not 0 <= seed < 1 << 64:
         raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    tensor.check_bytes(arch.array_bytes())
     g = arch.conv
-    flat = arch.flat_length()
-    check_parameter_count(g.n_kernels * (g.in_c * g.k_h * g.k_w + 1), flat, arch.dense_widths)
-    _check_layer_arrays(g, arch.pool)
     rng = np.random.Generator(np.random.PCG64(seed))
     bound = 1.0 / np.sqrt(g.in_c * g.k_h * g.k_w)
     kernels = rng.uniform(-bound, bound, size=(g.n_kernels, g.in_c, g.k_h, g.k_w))
     bank = KernelBank(kernels=kernels, biases=np.zeros(g.n_kernels), geometry=g)
     layers = []
-    n_in = flat
+    n_in = arch.flat_length()
     last = len(arch.dense_widths) - 1
     for i, width in enumerate(arch.dense_widths):
         bound = 1.0 / np.sqrt(n_in)

@@ -20,16 +20,19 @@ import numpy as np
 
 from .errors import ShapeError
 
-# Rejects absurd allocations before numpy tries to make them.
-MAX_ELEMENTS = 1 << 30
+# The most bytes one array of a run may take. At 1 GiB one sample's
+# forward and backward arrays stay well inside a few GiB of RAM, and the
+# 60,000-image MNIST set (376 MB of float64) still fits.
+MAX_BYTES = 1 << 30
 
 
-def rot180(m: np.ndarray) -> np.ndarray:
-    """Rotate a rank-2 array by 180 degrees: out[i, j] = in[H-1-i, W-1-j]."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"rot180 expects rank 2, got rank {m.ndim}")
-    return m[::-1, ::-1].copy()
+def check_bytes(arrays: dict[str, int]) -> None:
+    """Raise ``ShapeError`` naming the first array whose size in bytes,
+    given as ``{name: bytes}``, exceeds ``MAX_BYTES``. Callers check before
+    they allocate."""
+    for name, nbytes in arrays.items():
+        if nbytes > MAX_BYTES:
+            raise ShapeError(f"{name} would take {nbytes} bytes, more than {MAX_BYTES}")
 
 
 def sum_rows(p: np.ndarray, initial: float = -0.0) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from convkit import network as nm
-from convkit import tensor
 from convkit.activations import ActivationKind
 from convkit.cli import main
 from convkit.dataio import Dataset, dataset_from_idx, one_hot, synth_bars
@@ -36,6 +35,7 @@ from convkit.layers import (
 from convkit.losses import LossKind, ce_grad, loss
 
 from test_layers import conv_forward_oracle, maxpool_oracle, sliding_window_count
+from test_tensor import rot180
 
 FIXTURE_ARCH = nm.Architecture(
     conv=ConvGeometry(8, 8, 1, 3, 3, 2),
@@ -137,7 +137,7 @@ def test_criterion_2_layer_level_oracles():
             alt = np.zeros_like(gk)
             for p in range(d1):
                 for cc in range(c):
-                    rot = tensor.rot180(padded[cc])
+                    rot = rot180(padded[cc])
                     for u in range(k):
                         for v in range(k):
                             acc = 0.0

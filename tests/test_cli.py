@@ -76,7 +76,7 @@ def write_pgm(tmp_path, name, h, w, value=128):
     return str(path)
 
 
-# 67108864 * 19 dense weights alone exceed tensor.MAX_ELEMENTS (2**30).
+# 67108864 * 3 dense weights alone take 1.6 GB, more than tensor.MAX_BYTES.
 OVERSIZED_WIDTHS = "67108864,2"
 
 # One past the largest unsigned 64-bit seed.
@@ -207,7 +207,20 @@ class TestTrain:
             tmp_path, drop="data.source", extra="data.source=bars:1048576,1024,1024"
         )
         assert main(["train", cfg]) == 1
-        assert "exceeds" in capsys.readouterr().err
+        assert "bars images would take" in capsys.readouterr().err
+
+    def test_wide_bars_refused_before_allocating(self, tmp_path, capsys):
+        # 2 x 4 x 100,000,000 pixels: 6.4 GB of float64 images
+        cfg = train_config(
+            tmp_path, drop="data.source", extra="data.source=bars:2,4,100000000"
+        )
+        code, peak = traced_main(["train", cfg])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bars images would take 6400000000 bytes" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["train.cfg"]
+        assert peak < 1 << 20
 
     def test_largest_seed_accepted(self, tmp_path):
         cfg = train_config(
@@ -344,7 +357,7 @@ def traced_main(argv):
 def test_oversized_layer_arrays_refused_before_allocating(tmp_path, capsys,
                                                           monkeypatch, command):
     # 108,216,170 parameters pass the parameter bound; the conv products of
-    # one sample would be 9 x 6006 x 6006 x 6 = 1,947,889,944 elements.
+    # one sample would be 9 x 6006 x 6006 x 6 = 1,947,889,944 float64s.
     # Should the check fail, the test fails before a forward pass tries to
     # allocate them.
     monkeypatch.setattr(nm, "forward", refuse_forward)
@@ -353,7 +366,8 @@ def test_oversized_layer_arrays_refused_before_allocating(tmp_path, capsys,
     code, peak = traced_main([command, cfg])
     assert code == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "conv products would hold 1947889944" in captured.err
+    assert captured.out == ""
+    assert "conv products would take 15583119552 bytes" in captured.err
     assert [p.name for p in tmp_path.iterdir()] == ["train.cfg"]
     assert peak < 1 << 20
 
@@ -375,7 +389,8 @@ def test_model_with_oversized_layer_arrays_is_data_error(tmp_path, capsys,
     code, peak = traced_main(argv)
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "conv products would hold 1947889944" in captured.err
+    assert captured.out == ""
+    assert "conv products would take 15583119552 bytes" in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert peak < 1 << 20
 
@@ -542,7 +557,7 @@ class TestIdxSource:
     def test_oversized_widths_refused_before_loading(self, tmp_path, capsys,
                                                      monkeypatch, command):
         # The 12 x 200,000 label array alone would be 19.2 MB.
-        monkeypatch.setattr(tensor, "MAX_ELEMENTS", 10**5)
+        monkeypatch.setattr(tensor, "MAX_BYTES", 8 * 10**5)
         img_path, lbl_path = self.write_idx_pair(tmp_path)
         cfg = write_config(
             tmp_path, "idx.cfg", drop="dense.widths",
@@ -552,7 +567,29 @@ class TestIdxSource:
         )
         code, peak = traced_main([command, cfg])
         assert code == 1
-        assert "parameters, more than 100000" in capsys.readouterr().err
+        assert "parameters would take 14400352 bytes, more than 800000" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "m.cnnf").exists()
+        assert not (tmp_path / "m.csv").exists()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_oversized_idx_images_are_data_error(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        # 12 images of 8x8 take 6,144 bytes as float64
+        monkeypatch.setattr(tensor, "MAX_BYTES", 6143)
+        img_path, lbl_path = self.write_idx_pair(tmp_path)
+        cfg = write_config(
+            tmp_path, "idx.cfg", drop="data.source",
+            extra=f"data.source=idx:{img_path},{lbl_path}",
+            out_model=str(tmp_path / "m.cnnf"),
+            out_csv=str(tmp_path / "m.csv"),
+        )
+        code, peak = traced_main([command, cfg])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "IDX images would take 6144 bytes, more than 6143" in captured.err
         assert not (tmp_path / "m.cnnf").exists()
         assert not (tmp_path / "m.csv").exists()
         assert peak < 1 << 20

@@ -68,8 +68,9 @@ class TestIdxImages:
             load_idx_images(io.BytesIO(blob))
 
     def test_dimension_overflow_rejected(self):
+        # 2**50 pixels take 2**53 bytes as float64
         header = struct.pack(">IIII", 0x00000803, 2**30, 2**10, 2**10)
-        with pytest.raises(ParseError, match="overflow"):
+        with pytest.raises(ShapeError, match="IDX images would take 9007199254740992 bytes"):
             load_idx_images(io.BytesIO(header))
 
     def test_short_header(self):
@@ -147,6 +148,25 @@ class TestIdxRoundTrip:
         want_labels = np.stack([one_hot(k, 4) for k in labels])
         assert ds.images.tobytes() == want_images.tobytes()
         assert ds.labels.tobytes() == want_labels.tobytes()
+
+    def test_byte_limit(self, monkeypatch):
+        # 6 images of 4x4 take 768 bytes as float64; 6 labels of 20 classes 960
+        raws = [np.zeros((4, 4), dtype=np.uint8)] * 6
+        labels = write_idx_labels([0] * 6)
+
+        def load():
+            return dataset_from_idx(
+                io.BytesIO(write_idx_images(raws)), io.BytesIO(labels), class_count=20
+            )
+
+        monkeypatch.setattr(tensor, "MAX_BYTES", 960)
+        assert load().labels.nbytes == 960
+        monkeypatch.setattr(tensor, "MAX_BYTES", 959)
+        with pytest.raises(ShapeError, match="IDX labels would take 960 bytes"):
+            load()
+        monkeypatch.setattr(tensor, "MAX_BYTES", 767)
+        with pytest.raises(ShapeError, match="IDX images would take 768 bytes"):
+            load()
 
 
 class TestPgm:
@@ -275,15 +295,15 @@ class TestSynthBars:
             synth_bars(9, 8, 8, seed=0)
 
     def test_element_limit(self, monkeypatch):
-        monkeypatch.setattr(tensor, "MAX_ELEMENTS", 4 * 8 * 8)
-        assert len(synth_bars(4, 8, 8, seed=0).images) == 4
-        with pytest.raises(ShapeError, match="exceeds"):
+        monkeypatch.setattr(tensor, "MAX_BYTES", 8 * 4 * 8 * 8)
+        assert synth_bars(4, 8, 8, seed=0).images.nbytes == 8 * 4 * 8 * 8
+        with pytest.raises(ShapeError, match="bars images would take 3072 bytes"):
             synth_bars(6, 8, 8, seed=0)
 
     def test_oversized_request_rejected_before_allocating(self):
         tracemalloc.start()
         try:
-            with pytest.raises(ShapeError, match="exceeds"):
+            with pytest.raises(ShapeError, match="bars images would take"):
                 synth_bars(1 << 20, 1 << 10, 1 << 10, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from convkit.layers import (
     pool_output_dims,
 )
 from convkit.losses import LossKind, ce_grad, loss
+from test_tensor import rot180
 
 RELU = ActivationKind.RELU
 SIGMOID = ActivationKind.SIGMOID
@@ -437,8 +439,9 @@ class TestGatherTables:
 
         outputs = run()
         want = [a.copy() for a in outputs]
-        tables = [t for entry in layers._TABLES.values() for t in entry]
-        assert len(tables) >= 5
+        tables = [layers._tap_table(bank.geometry),
+                  *layers._window_table(pool, *outputs[1].shape)]
+        assert len(tables) == 5
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -450,11 +453,64 @@ class TestGatherTables:
             assert got.tobytes() == expect.tobytes()
 
     def test_cache_stays_bounded(self):
-        for n in range(1, 2 * layers._MAX_TABLES):
+        for n in range(1, 2 * 64):
+            image = np.zeros((1, n + 2, 3))
             g = ConvGeometry(n + 2, 3, 1, 3, 3, 1)
-            _taps(np.zeros((1, n + 2, 3)), g)
-            assert g in layers._TABLES
-            assert len(layers._TABLES) <= layers._MAX_TABLES
+            _taps(image, g)
+            maxpool_forward(image, PoolGeometry(1, 1))
+            for builder, args in ((layers._tap_table, (g,)),
+                                  (layers._window_table, (PoolGeometry(1, 1), 1, n + 2, 3))):
+                hits = builder.cache_info().hits
+                builder(*args)
+                info = builder.cache_info()
+                assert info.hits == hits + 1 and info.currsize <= info.maxsize == 64
+
+    @staticmethod
+    def build_peak(builder, *args):
+        """An uncached table build and its tracemalloc peak in bytes."""
+        tracemalloc.start()
+        try:
+            return builder.__wrapped__(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_table_builds_make_no_full_size_temporary(self):
+        # Each table is one broadcast add of small parts, so the build
+        # peak stays near the bytes it returns.
+        g = ConvGeometry(8, 8, 1, 3, 3, 6, pad=100)
+        table, peak = self.build_peak(layers._tap_table, g)
+        assert table.nbytes > 1 << 20 and peak <= 1.5 * table.nbytes
+        tables, peak = self.build_peak(layers._window_table, PoolGeometry(2, 2), 6, 200, 200)
+        size = sum(t.nbytes for t in tables)
+        assert size > 1 << 20 and peak <= 1.5 * size
+
+    @pytest.mark.parametrize("g", [
+        ConvGeometry(8, 8, 1, 3, 3, 6, pad=100),
+        ConvGeometry(9, 7, 2, 3, 1, 1, stride=2, pad=1),
+        ConvGeometry(5, 6, 3, 1, 1, 2),
+    ])
+    def test_tap_table_matches_index_expression(self, g):
+        h1, w1, _ = conv_output_dims(g)
+        hp, wp = g.in_h + 2 * g.pad, g.in_w + 2 * g.pad
+        c, u, v = np.indices((g.in_c, g.k_h, g.k_w)).reshape(3, -1, 1)
+        i, j = np.indices((h1, w1)).reshape(2, 1, -1) * g.stride
+        assert np.array_equal(layers._tap_table(g), (c * hp + u + i) * wp + v + j)
+
+    @pytest.mark.parametrize("g, d1, h1, w1", [
+        (PoolGeometry(2, 2), 6, 200, 200),
+        (PoolGeometry(3, 2), 2, 7, 9),
+        (PoolGeometry(1, 1), 3, 4, 5),
+    ])
+    def test_window_table_matches_index_expression(self, g, d1, h1, w1):
+        h2, w2, d2 = pool_output_dims(h1, w1, d1, g)
+        du, dv = np.indices((g.window, g.window)).reshape(2, -1, 1)
+        c, i, j = np.indices((d2, h2, w2)).reshape(3, 1, -1)
+        rows, cols = i * g.stride + du, j * g.stride + dv
+        want = ((c * h1 + rows) * w1 + cols, rows, cols, np.arange(d2 * h2 * w2))
+        got = layers._window_table(g, d1, h1, w1)
+        assert len(got) == len(want)
+        for table, expect in zip(got, want):
+            assert np.array_equal(table, expect)
 
 
 class TestConvBackward:
@@ -561,7 +617,7 @@ class TestConvBackward:
             alt = np.zeros_like(gk)
             for p in range(d1):
                 for c in range(in_c):
-                    rot = tensor.rot180(padded[c])
+                    rot = rot180(padded[c])
                     for u in range(k):
                         for v in range(k):
                             acc = 0.0

@@ -104,10 +104,10 @@ class TestInit:
         # the largest layer array (648 conv products), which the bound also
         # covers
         arch = replace(FIXTURE_ARCH, dense_widths=(40, 2))
-        monkeypatch.setattr(tensor, "MAX_ELEMENTS", 862)
-        assert nm.init(arch, 0).params.size == 862
-        monkeypatch.setattr(tensor, "MAX_ELEMENTS", 861)
-        with pytest.raises(ShapeError, match="862 parameters"):
+        monkeypatch.setattr(tensor, "MAX_BYTES", 8 * 862)
+        assert nm.init(arch, 0).params.nbytes == 8 * 862
+        monkeypatch.setattr(tensor, "MAX_BYTES", 8 * 862 - 1)
+        with pytest.raises(ShapeError, match="parameters would take 6896 bytes"):
             nm.init(arch, 0)
 
     @pytest.mark.parametrize("arch, name, size", [
@@ -121,10 +121,11 @@ class TestInit:
          "conv products", 243),
     ])
     def test_layer_array_limit(self, monkeypatch, arch, name, size):
-        monkeypatch.setattr(tensor, "MAX_ELEMENTS", size)
+        # size counts float64 elements
+        monkeypatch.setattr(tensor, "MAX_BYTES", 8 * size)
         net = nm.init(arch, 0)
-        monkeypatch.setattr(tensor, "MAX_ELEMENTS", size - 1)
-        message = f"{name} would hold {size} elements"
+        monkeypatch.setattr(tensor, "MAX_BYTES", 8 * size - 1)
+        message = f"{name} would take {8 * size} bytes"
         with pytest.raises(ShapeError, match=message):
             nm.init(arch, 0)
         with pytest.raises(ShapeError, match=message):
@@ -133,13 +134,13 @@ class TestInit:
 
     def test_oversized_layer_arrays_rejected_before_allocating(self):
         # 108,216,170 parameters, under the bound; the conv products of one
-        # sample would be 9 x 6006 x 6006 x 6 = 1,947,889,944 elements
+        # sample would be 9 x 6006 x 6006 x 6 = 1,947,889,944 float64s
         arch = nm.Architecture(
             ConvGeometry(8, 8, 1, 3, 3, 6, pad=3000), PoolGeometry(2, 2), (2,)
         )
         tracemalloc.start()
         try:
-            with pytest.raises(ShapeError, match="conv products would hold 1947889944"):
+            with pytest.raises(ShapeError, match="conv products would take 15583119552 bytes"):
                 nm.init(arch, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
