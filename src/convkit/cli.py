@@ -23,7 +23,7 @@ import numpy as np
 from . import network as net_mod
 from . import tensor
 from .activations import ActivationKind, apply
-from .dataio import Dataset, dataset_from_idx, load_pgm, normalize, synth_bars
+from .dataio import Dataset, dataset_from_idx, load_idx_labels, load_pgm, normalize, synth_bars
 from .errors import (
     ConfigError,
     ConvkitError,
@@ -138,7 +138,15 @@ def _load_dataset(cfg: RunConfig, class_count: int) -> Dataset:
             raise ConfigError("data.source idx needs 'idx:<images>,<labels>'")
         img_path, lbl_path = parts[0].strip(), parts[1].strip()
         try:
-            data = dataset_from_idx(img_path, lbl_path, class_count)
+            with open(img_path, "rb") as images, open(lbl_path, "rb") as labels:
+                # widths[-1] is config: bound the N x widths[-1] labels first
+                count = len(load_idx_labels(labels))
+                try:
+                    tensor.check_bytes({"IDX labels": 8 * count * class_count})
+                except ShapeError as e:
+                    raise ConfigError(f"dense.widths: {e}") from e
+                labels.seek(0)
+                data = dataset_from_idx(images, labels, class_count)
         except OSError as e:
             raise ParseError(f"cannot read IDX data: {e}") from e
         if len(data.images) == 0:

@@ -28,7 +28,6 @@ Conventions fixed here once:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,22 +170,35 @@ class ForwardTrace:
 
 
 # Index tables depend only on a layer's geometry, so each is built once
-# and kept read-only. The bound keeps a run over many geometries from
-# growing the caches without end.
-@functools.lru_cache(maxsize=64)
+# and kept read-only. The cache is emptied when it reaches _MAX_TABLES
+# entries, so a run over many geometries cannot grow it without bound.
+_TABLES: dict = {}
+_MAX_TABLES = 64
+
+
+def _remember(key, *tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    if len(_TABLES) >= _MAX_TABLES:
+        _TABLES.clear()
+    for table in tables:
+        table.flags.writeable = False
+    _TABLES[key] = tables
+    return tables
+
+
 def _tap_table(g: ConvGeometry) -> np.ndarray:
     """(n_taps, h1*w1) flat positions in the zero-padded C-order image:
     row t is tap t = (c, u, v) in ascending order, column i*w1 + j is
     output (i, j). One broadcast add of a per-tap and a per-output part,
     so no temporary is as large as the table."""
+    hit = _TABLES.get(g)
+    if hit is not None:
+        return hit[0]
     h1, w1, _ = conv_output_dims(g)
     hp, wp = g.in_h + 2 * g.pad, g.in_w + 2 * g.pad
     c, u, v = np.ogrid[: g.in_c, : g.k_h, : g.k_w]
     i, j = np.ogrid[:h1, :w1]
     per_tap = ((c * hp + u) * wp + v).reshape(-1, 1)
-    table = per_tap + ((i * wp + j) * g.stride).reshape(1, -1)
-    table.flags.writeable = False
-    return table
+    return _remember(g, per_tap + ((i * wp + j) * g.stride).reshape(1, -1))[0]
 
 
 def _taps(image: np.ndarray, g: ConvGeometry) -> np.ndarray:
@@ -227,7 +239,6 @@ def conv_forward(
     return preact, act, ForwardTrace(input=image, preact=preact)
 
 
-@functools.lru_cache(maxsize=64)
 def _window_table(g: PoolGeometry, d1: int, h1: int, w1: int) -> tuple[np.ndarray, ...]:
     """Index tables of max-pooling a (d1, h1, w1) C-order map.
 
@@ -237,22 +248,16 @@ def _window_table(g: PoolGeometry, d1: int, h1: int, w1: int) -> tuple[np.ndarra
     column. The fourth is arange(n). Each (k*k, n) table is one broadcast
     add of a per-entry and a per-output part.
     """
+    key = (g, d1, h1, w1)
+    hit = _TABLES.get(key)
+    if hit is not None:
+        return hit
     h2, w2, d2 = pool_output_dims(h1, w1, d1, g)
     du, dv = np.indices((g.window, g.window)).reshape(2, -1, 1)
     c, i, j = np.ogrid[:d2, : h2 * g.stride : g.stride, : w2 * g.stride : g.stride]
-
-    def outputs(a: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(a, (d2, h2, w2)).reshape(1, -1)
-
-    tables = (
-        outputs((c * h1 + i) * w1 + j) + (du * w1 + dv),
-        outputs(i) + du,
-        outputs(j) + dv,
-        np.arange(d2 * h2 * w2),
-    )
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    flat, i, j = (np.broadcast_to(a, (d2, h2, w2)).reshape(1, -1)
+                  for a in ((c * h1 + i) * w1 + j, i, j))
+    return _remember(key, flat + (du * w1 + dv), i + du, j + dv, np.arange(d2 * h2 * w2))
 
 
 def maxpool_forward(

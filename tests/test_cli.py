@@ -574,6 +574,34 @@ class TestIdxSource:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_oversized_labels_are_config_error(self, tmp_path, capsys,
+                                               monkeypatch, command):
+        # 12 labels of 100 classes take 9,600 bytes as float64, more than
+        # any other array of the run (the parameters take 8,576)
+        img_path, lbl_path = self.write_idx_pair(tmp_path)
+
+        def config(tag):
+            return write_config(
+                tmp_path, f"{tag}.cfg", drop="dense.widths",
+                extra=f"dense.widths=8,100\ndata.source=idx:{img_path},{lbl_path}",
+                out_model=str(tmp_path / f"{tag}.cnnf"),
+                out_csv=str(tmp_path / f"{tag}.csv"),
+            )
+
+        monkeypatch.setattr(tensor, "MAX_BYTES", 9600)
+        assert main([command, config("at")]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(tensor, "MAX_BYTES", 9599)
+        code, peak = traced_main([command, config("over")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "IDX labels would take 9600 bytes, more than 9599" in captured.err
+        assert not (tmp_path / "over.cnnf").exists()
+        assert not (tmp_path / "over.csv").exists()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_oversized_idx_images_are_data_error(self, tmp_path, capsys,
                                                  monkeypatch, command):
         # 12 images of 8x8 take 6,144 bytes as float64

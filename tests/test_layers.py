@@ -439,9 +439,8 @@ class TestGatherTables:
 
         outputs = run()
         want = [a.copy() for a in outputs]
-        tables = [layers._tap_table(bank.geometry),
-                  *layers._window_table(pool, *outputs[1].shape)]
-        assert len(tables) == 5
+        tables = [t for entry in layers._TABLES.values() for t in entry]
+        assert len(tables) >= 5
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -453,34 +452,30 @@ class TestGatherTables:
             assert got.tobytes() == expect.tobytes()
 
     def test_cache_stays_bounded(self):
-        for n in range(1, 2 * 64):
-            image = np.zeros((1, n + 2, 3))
+        for n in range(1, 2 * layers._MAX_TABLES):
             g = ConvGeometry(n + 2, 3, 1, 3, 3, 1)
-            _taps(image, g)
-            maxpool_forward(image, PoolGeometry(1, 1))
-            for builder, args in ((layers._tap_table, (g,)),
-                                  (layers._window_table, (PoolGeometry(1, 1), 1, n + 2, 3))):
-                hits = builder.cache_info().hits
-                builder(*args)
-                info = builder.cache_info()
-                assert info.hits == hits + 1 and info.currsize <= info.maxsize == 64
+            _taps(np.zeros((1, n + 2, 3)), g)
+            assert g in layers._TABLES
+            assert len(layers._TABLES) <= layers._MAX_TABLES
 
     @staticmethod
-    def build_peak(builder, *args):
-        """An uncached table build and its tracemalloc peak in bytes."""
+    def build_peak(monkeypatch, builder, *args):
+        """A table build on an empty cache and its tracemalloc peak in bytes."""
+        monkeypatch.setattr(layers, "_TABLES", {})
         tracemalloc.start()
         try:
-            return builder.__wrapped__(*args), tracemalloc.get_traced_memory()[1]
+            return builder(*args), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def test_table_builds_make_no_full_size_temporary(self):
+    def test_table_builds_make_no_full_size_temporary(self, monkeypatch):
         # Each table is one broadcast add of small parts, so the build
         # peak stays near the bytes it returns.
         g = ConvGeometry(8, 8, 1, 3, 3, 6, pad=100)
-        table, peak = self.build_peak(layers._tap_table, g)
+        table, peak = self.build_peak(monkeypatch, layers._tap_table, g)
         assert table.nbytes > 1 << 20 and peak <= 1.5 * table.nbytes
-        tables, peak = self.build_peak(layers._window_table, PoolGeometry(2, 2), 6, 200, 200)
+        tables, peak = self.build_peak(monkeypatch, layers._window_table,
+                                      PoolGeometry(2, 2), 6, 200, 200)
         size = sum(t.nbytes for t in tables)
         assert size > 1 << 20 and peak <= 1.5 * size
 
