@@ -4,8 +4,9 @@ normalization, and in-memory dataset assembly."""
 from __future__ import annotations
 
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, ContextManager
 
 import numpy as np
 
@@ -46,11 +47,31 @@ class Dataset:
             raise DomainError(f"label {lab[bad.argmax()]} is not one-hot")
 
 
-def _read_all(source: str | BinaryIO) -> bytes:
-    if hasattr(source, "read"):
-        return source.read()
-    with open(source, "rb") as f:
-        return f.read()
+def _opened(source: str | BinaryIO) -> ContextManager[BinaryIO]:
+    """A stream as it is (left open), or the file a path names."""
+    return nullcontext(source) if hasattr(source, "read") else open(source, "rb")
+
+
+def _idx_header(f: BinaryIO, magic: int, kind: str, n_dims: int) -> tuple[int, ...]:
+    """The ``n_dims`` big-endian u32 extents after an IDX file's magic."""
+    size = 4 + 4 * n_dims
+    header = f.read(size)
+    found = int.from_bytes(header[:4], "big")
+    if len(header) >= 4 and found != magic:
+        raise ParseError(f"bad IDX {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
+    if len(header) < size:
+        raise TruncationError(f"IDX {kind} header needs {size} bytes, have {len(header)}")
+    return struct.unpack(f">{n_dims}I", header[4:])
+
+
+def _idx_payload(f: BinaryIO, need: int, kind: str) -> bytes:
+    """The ``need`` payload bytes its checked header claims, and no more."""
+    payload = f.read(need + 1)  # one byte more shows trailing data
+    if len(payload) != need:
+        held = "more than" if len(payload) > need else "only"
+        raise TruncationError(f"IDX {kind} payload holds {held} {min(len(payload), need)} "
+                              f"bytes, header claims {need}")
+    return payload
 
 
 def load_idx_images(source: str | BinaryIO) -> np.ndarray:
@@ -62,28 +83,18 @@ def load_idx_images(source: str | BinaryIO) -> np.ndarray:
       u32   row count (>= 1)
       u32   column count (>= 1)
       u8[]  pixels, row-major per image
+
+    The header is checked before the pixels are read.
     """
-    blob = _read_all(source)
-    if len(blob) < 4:
-        raise TruncationError(f"IDX image header needs 16 bytes, have {len(blob)}")
-    magic = struct.unpack(">I", blob[:4])[0]
-    if magic != IDX_IMAGE_MAGIC:
-        raise ParseError(
-            f"bad IDX image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}"
-        )
-    if len(blob) < 16:
-        raise TruncationError(f"IDX image header needs 16 bytes, have {len(blob)}")
-    count, rows, cols = struct.unpack(">III", blob[4:16])
-    if rows < 1 or cols < 1:
-        raise ParseError(f"IDX image extents {rows}x{cols} must be positive")
-    need = count * rows * cols
-    # dataset_from_idx makes the pixels float64
-    tensor.check_bytes({"IDX images": 8 * need})
-    if len(blob) - 16 != need:
-        raise TruncationError(
-            f"IDX payload holds {len(blob) - 16} bytes, header claims {need}"
-        )
-    return np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(count, rows, cols)
+    with _opened(source) as f:
+        count, rows, cols = _idx_header(f, IDX_IMAGE_MAGIC, "image", 3)
+        if rows < 1 or cols < 1:
+            raise ParseError(f"IDX image extents {rows}x{cols} must be positive")
+        need = count * rows * cols
+        # dataset_from_idx makes the pixels float64
+        tensor.check_bytes({"IDX images": 8 * need})
+        pixels = _idx_payload(f, need, "image")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows, cols)
 
 
 def load_idx_labels(source: str | BinaryIO) -> np.ndarray:
@@ -93,23 +104,13 @@ def load_idx_labels(source: str | BinaryIO) -> np.ndarray:
       u32   magic    0x00000801
       u32   label count
       u8[]  labels
+
+    The header is checked before the labels are read.
     """
-    blob = _read_all(source)
-    if len(blob) < 4:
-        raise TruncationError(f"IDX label header needs 8 bytes, have {len(blob)}")
-    magic = struct.unpack(">I", blob[:4])[0]
-    if magic != IDX_LABEL_MAGIC:
-        raise ParseError(
-            f"bad IDX label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}"
-        )
-    if len(blob) < 8:
-        raise TruncationError(f"IDX label header needs 8 bytes, have {len(blob)}")
-    count = struct.unpack(">I", blob[4:8])[0]
-    if len(blob) - 8 != count:
-        raise TruncationError(
-            f"IDX payload holds {len(blob) - 8} labels, header claims {count}"
-        )
-    return np.frombuffer(blob, dtype=np.uint8, offset=8)
+    with _opened(source) as f:
+        (count,) = _idx_header(f, IDX_LABEL_MAGIC, "label", 1)
+        tensor.check_bytes({"IDX label bytes": count})
+        return np.frombuffer(_idx_payload(f, count, "label"), dtype=np.uint8)
 
 
 def load_pgm(source: str | BinaryIO) -> np.ndarray:
@@ -121,7 +122,8 @@ def load_pgm(source: str | BinaryIO) -> np.ndarray:
     read, since ``normalize`` divides by 255; a pixel above a smaller
     maxval is named in the error.
     """
-    blob = _read_all(source)
+    with _opened(source) as f:
+        blob = f.read()
     pos = 0
 
     def skip_separators(p: int) -> int:
@@ -160,6 +162,8 @@ def load_pgm(source: str | BinaryIO) -> np.ndarray:
     only_8_bit = f"PGM maxval {maxval}: only 8-bit PGMs (maxval 255) are read"
     if not 0 < maxval <= 255:
         raise ParseError(only_8_bit)
+    if pos == len(blob):
+        raise TruncationError("PGM header ended after maxval, before its separator byte")
     pos += 1  # single whitespace byte after maxval
     need = width * height
     if len(blob) - pos < need:

@@ -93,11 +93,11 @@ class GradReport:
 
 def _decision_pattern(net: net_mod.Network, traces) -> bytes:
     """Branch decisions of one forward run: piecewise-activation signs and
-    pool winner coordinates, as the concatenated bytes of their arrays.
+    flat pool winner positions, as the concatenated bytes of their arrays.
     Every part has a size fixed by the network, so two runs made the same
     decisions exactly when their patterns are equal."""
     conv_trace, pool_trace = traces[0], traces[1]
-    parts = [pool_trace.argmax_rows, pool_trace.argmax_cols]
+    parts = [pool_trace.winners]
     if net.conv_activation in _PIECEWISE:
         parts.append(conv_trace.preact >= 0)
     for layer, trace in zip(net.dense, traces[2:]):

@@ -17,13 +17,15 @@ Conventions fixed here once:
   over i respectively) with one accumulator per output element, through
   ``tensor.sum_rows``.
 * Max-pool ties break to the first maximum in row-major window order;
-  the pooled value is the winner's own bits. Backward adds the gradients
-  at the winners in pooled row-major order.
-* Conv taps and pool windows are gathered with ``take`` through index
-  tables that depend only on the geometry. Each table is built once,
-  kept read-only in a small cache, and never returned: every output is
-  a new array. The gathers replaced strided views without changing any
-  sum order.
+  the pooled value is the winner's own bits. The trace keeps each winner
+  as one flat C-order position in the input, and backward adds the
+  gradients at the winners in pooled row-major order.
+* Conv taps and pool windows are gathered with ``take`` through one kind
+  of index table: the flat positions of a window sliding over a C-order
+  (C, H, W) map, which depend only on the map shape, the window extent
+  and the stride. Each table is built once, kept read-only in a small
+  cache, and never returned: every output is a new array. The gathers
+  replaced strided views without changing any sum order.
 """
 
 from __future__ import annotations
@@ -159,46 +161,45 @@ class ForwardTrace:
     """Per-layer cache consumed by the matching backward pass.
 
     ``input`` is the layer's input as seen in forward; ``preact`` is the
-    pre-activation (conv and dense only); ``argmax_rows``/``argmax_cols``
-    are the absolute winner coordinates per pooled output (pool only).
+    pre-activation (conv and dense only); ``winners`` is the flat C-order
+    position in ``input`` of each pooled output's winner (pool only).
     """
 
     input: np.ndarray
     preact: np.ndarray | None = None
-    argmax_rows: np.ndarray | None = None
-    argmax_cols: np.ndarray | None = None
+    winners: np.ndarray | None = None
 
 
-# Index tables depend only on a layer's geometry, so each is built once
-# and kept read-only. The cache is emptied when it reaches _MAX_TABLES
+# Index tables depend only on a map shape and a window, so each is built
+# once and kept read-only. The cache is emptied when it reaches _MAX_TABLES
 # entries, so a run over many geometries cannot grow it without bound.
 _TABLES: dict = {}
 _MAX_TABLES = 64
 
 
-def _remember(key, *tables: np.ndarray) -> tuple[np.ndarray, ...]:
-    if len(_TABLES) >= _MAX_TABLES:
-        _TABLES.clear()
-    for table in tables:
+def _window_table(shape: tuple[int, int, int], window: tuple[int, int, int],
+                  stride: int) -> np.ndarray:
+    """(entries, outputs) flat positions of the windows of extent
+    ``window = (k_c, k_h, k_w)`` sliding over a C-order ``shape = (C, H, W)``
+    map, by ``stride`` over H and W and by k_c over C. Row e is window
+    entry e = (c, u, v) in ascending order; column o is output o in
+    row-major (channel block, i, j) order. One broadcast add of a
+    per-entry and a per-output part, so no temporary is as large as the
+    table."""
+    key = (shape, window, stride)
+    table = _TABLES.get(key)
+    if table is None:
+        (n_c, n_h, n_w), (k_c, k_h, k_w) = shape, window
+        c, u, v = np.ogrid[:k_c, :k_h, :k_w]
+        b, i, j = np.ogrid[: n_c - k_c + 1 : k_c, : n_h - k_h + 1 : stride,
+                           : n_w - k_w + 1 : stride]
+        per_entry = ((c * n_h + u) * n_w + v).reshape(-1, 1)
+        table = per_entry + ((b * n_h + i) * n_w + j).reshape(1, -1)
         table.flags.writeable = False
-    _TABLES[key] = tables
-    return tables
-
-
-def _tap_table(g: ConvGeometry) -> np.ndarray:
-    """(n_taps, h1*w1) flat positions in the zero-padded C-order image:
-    row t is tap t = (c, u, v) in ascending order, column i*w1 + j is
-    output (i, j). One broadcast add of a per-tap and a per-output part,
-    so no temporary is as large as the table."""
-    hit = _TABLES.get(g)
-    if hit is not None:
-        return hit[0]
-    h1, w1, _ = conv_output_dims(g)
-    hp, wp = g.in_h + 2 * g.pad, g.in_w + 2 * g.pad
-    c, u, v = np.ogrid[: g.in_c, : g.k_h, : g.k_w]
-    i, j = np.ogrid[:h1, :w1]
-    per_tap = ((c * hp + u) * wp + v).reshape(-1, 1)
-    return _remember(g, per_tap + ((i * wp + j) * g.stride).reshape(1, -1))[0]
+        if len(_TABLES) >= _MAX_TABLES:
+            _TABLES.clear()
+        _TABLES[key] = table
+    return table
 
 
 def _taps(image: np.ndarray, g: ConvGeometry) -> np.ndarray:
@@ -207,7 +208,7 @@ def _taps(image: np.ndarray, g: ConvGeometry) -> np.ndarray:
     (i, j) output order. A new array: no view of the image or the table."""
     if g.pad:
         image = np.pad(image, ((0, 0), (g.pad, g.pad), (g.pad, g.pad)))
-    return image.reshape(-1).take(_tap_table(g))
+    return image.take(_window_table(image.shape, (g.in_c, g.k_h, g.k_w), g.stride))
 
 
 def conv_forward(
@@ -239,27 +240,6 @@ def conv_forward(
     return preact, act, ForwardTrace(input=image, preact=preact)
 
 
-def _window_table(g: PoolGeometry, d1: int, h1: int, w1: int) -> tuple[np.ndarray, ...]:
-    """Index tables of max-pooling a (d1, h1, w1) C-order map.
-
-    The first three are (k*k, n) over the n = d2*h2*w2 pooled outputs in
-    row-major order and the window entries in row-major (du, dv) order: each
-    entry's flat input position, its absolute row and its absolute
-    column. The fourth is arange(n). Each (k*k, n) table is one broadcast
-    add of a per-entry and a per-output part.
-    """
-    key = (g, d1, h1, w1)
-    hit = _TABLES.get(key)
-    if hit is not None:
-        return hit
-    h2, w2, d2 = pool_output_dims(h1, w1, d1, g)
-    du, dv = np.indices((g.window, g.window)).reshape(2, -1, 1)
-    c, i, j = np.ogrid[:d2, : h2 * g.stride : g.stride, : w2 * g.stride : g.stride]
-    flat, i, j = (np.broadcast_to(a, (d2, h2, w2)).reshape(1, -1)
-                  for a in ((c * h1 + i) * w1 + j, i, j))
-    return _remember(key, flat + (du * w1 + dv), i + du, j + dv, np.arange(d2 * h2 * w2))
-
-
 def maxpool_forward(
     act: np.ndarray, g: PoolGeometry
 ) -> tuple[np.ndarray, ForwardTrace]:
@@ -268,45 +248,38 @@ def maxpool_forward(
     One ``take`` through a table cached per geometry gathers the k*k
     window planes of the C-order input, stacked in row-major (du, dv)
     order so argmax's first-maximum rule is exactly the tie-break
-    contract.
+    contract. The winners are the table's entries at the argmax.
     """
     act = np.asarray(act, dtype=np.float64)
     if act.ndim != 3:
         raise ShapeError(f"maxpool expects rank 3, got rank {act.ndim}")
     d1, h1, w1 = act.shape
     h2, w2, d2 = pool_output_dims(h1, w1, d1, g)
-    idx, rows, cols, ar = _window_table(g, d1, h1, w1)
-    planes = act.reshape(-1).take(idx)
-    # Gather the winners themselves (not planes.max, which may return the
+    table = _window_table(act.shape, (1, g.window, g.window), g.stride)
+    sel = act.take(table).argmax(axis=0)
+    winners = table[sel, np.arange(table.shape[1])].reshape(d2, h2, w2)
+    # Gather the winners themselves (not a max, which may return the
     # other zero of a -0.0/0.0 tie or a different NaN).
-    sel = planes.argmax(axis=0) * len(ar) + ar
-    trace = ForwardTrace(
-        input=act,
-        argmax_rows=rows.take(sel).reshape(d2, h2, w2),
-        argmax_cols=cols.take(sel).reshape(d2, h2, w2),
-    )
-    return planes.take(sel).reshape(d2, h2, w2), trace
+    return act.take(winners), ForwardTrace(input=act, winners=winners)
 
 
 def maxpool_backward(grad_pooled: np.ndarray, trace: ForwardTrace) -> np.ndarray:
     """Route each pooled gradient back to its winning input position.
 
     Every non-winning position gets zero; overlapping windows accumulate.
-    One ``np.bincount`` over the winners' flat (chan, row, col) indices
-    adds the gradients in pooled row-major order into sums started at 0.0.
+    One ``np.bincount`` over the flat winners adds the gradients in pooled
+    row-major order into sums started at 0.0.
     """
     grad_pooled = np.asarray(grad_pooled, dtype=np.float64)
-    if trace.argmax_rows is None or trace.argmax_cols is None:
+    if trace.winners is None:
         raise ShapeError("trace does not come from maxpool_forward")
-    if grad_pooled.shape != trace.argmax_rows.shape:
+    if grad_pooled.shape != trace.winners.shape:
         raise ShapeError(
-            f"grad shape {grad_pooled.shape} != pooled shape {trace.argmax_rows.shape}"
+            f"grad shape {grad_pooled.shape} != pooled shape {trace.winners.shape}"
         )
-    d1, h1, w1 = trace.input.shape
-    chan = np.arange(grad_pooled.shape[0])[:, None, None]
-    flat = (chan * h1 + trace.argmax_rows) * w1 + trace.argmax_cols
-    out = np.bincount(flat.ravel(), weights=grad_pooled.ravel(), minlength=d1 * h1 * w1)
-    return out.reshape(d1, h1, w1)
+    out = np.bincount(trace.winners.ravel(), weights=grad_pooled.ravel(),
+                      minlength=trace.input.size)
+    return out.reshape(trace.input.shape)
 
 
 def conv_backward(

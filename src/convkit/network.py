@@ -59,7 +59,7 @@ class Architecture:
         for ``tensor.check_bytes``. The parameters bound the dense
         products, which form at weight size. One sample's conv products
         bound its taps and its int64 tap table; the pool window planes
-        bound the int64 window tables. A large pad grows the conv arrays
+        bound their int64 window table. A large pad grows the conv arrays
         without adding a parameter, so each is counted."""
         g, flat = self.conv, self.flat_length()
         h1, w1, d1 = conv_output_dims(g)
@@ -224,7 +224,7 @@ def backward(net: Network, traces: list[ForwardTrace], y: np.ndarray) -> np.ndar
     for layer, trace in zip(reversed(net.dense), reversed(traces[2:])):
         gw, gb, grad = dense_backward(grad, layer, trace)
         dense_grads[:0] = [gw.ravel(), gb]
-    grad_act = maxpool_backward(grad.reshape(pool_trace.argmax_rows.shape), pool_trace)
+    grad_act = maxpool_backward(grad.reshape(pool_trace.winners.shape), pool_trace)
     grad_preact = grad_act * derivative(net.conv_activation, conv_trace.preact)
     gk, gcb = conv_backward(grad_preact, conv_trace.input, net.bank)
     return np.concatenate([gk.ravel(), gcb, *dense_grads])

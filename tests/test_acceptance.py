@@ -34,7 +34,12 @@ from convkit.layers import (
 )
 from convkit.losses import LossKind, ce_grad, loss
 
-from test_layers import conv_forward_oracle, maxpool_oracle, sliding_window_count
+from test_layers import (
+    conv_forward_oracle,
+    flat_winners,
+    maxpool_oracle,
+    sliding_window_count,
+)
 from test_tensor import rot180
 
 FIXTURE_ARCH = nm.Architecture(
@@ -112,8 +117,7 @@ def test_criterion_2_layer_level_oracles():
             pooled, trace = maxpool_forward(act, PoolGeometry(window, stride))
             exp_pooled, exp_rows, exp_cols = maxpool_oracle(act, window, stride)
             assert np.array_equal(pooled, exp_pooled)
-            assert np.array_equal(trace.argmax_rows, exp_rows)
-            assert np.array_equal(trace.argmax_cols, exp_cols)
+            assert np.array_equal(trace.winners, flat_winners(exp_rows, exp_cols, act.shape))
 
         # kernel gradient: rotated-input convolution form vs the
         # cross-correlation implementation

@@ -34,6 +34,19 @@ def write_idx_labels(labels) -> bytes:
     return struct.pack(">II", 0x00000801, len(labels)) + bytes(labels)
 
 
+class CountingStream(io.BytesIO):
+    """An in-memory stream that counts the bytes its reads return."""
+
+    def __init__(self, blob):
+        super().__init__(blob)
+        self.bytes_read = 0
+
+    def read(self, size=-1):
+        out = super().read(size)
+        self.bytes_read += len(out)
+        return out
+
+
 def write_pgm(img, header=b"P5 %d %d 255\n") -> bytes:
     h, w = img.shape
     return (header % (w, h)) + bytes(img.ravel().tolist())
@@ -77,6 +90,25 @@ class TestIdxImages:
         with pytest.raises(TruncationError):
             load_idx_images(io.BytesIO(b"\x00\x00\x08"))
 
+    def test_header_checked_before_pixels_are_read(self, monkeypatch):
+        # 8 images of 16x16 take 16,384 bytes as float64
+        blob = write_idx_images([np.zeros((16, 16), dtype=np.uint8)] * 8)
+        monkeypatch.setattr(tensor, "MAX_BYTES", 16383)
+        stream = CountingStream(blob)
+        with pytest.raises(ShapeError, match="IDX images would take 16384 bytes"):
+            load_idx_images(stream)
+        assert stream.bytes_read == 16
+        monkeypatch.undo()
+        stream = CountingStream(write_idx_labels([1, 2]) + blob[8:])
+        with pytest.raises(ParseError, match="magic"):
+            load_idx_images(stream)
+        assert stream.bytes_read == 16
+        # trailing data is seen one byte past the payload
+        stream = CountingStream(blob + bytes(1000))
+        with pytest.raises(TruncationError, match="more than 2048 bytes, header claims 2048"):
+            load_idx_images(stream)
+        assert stream.bytes_read == 16 + 2048 + 1
+
     @pytest.mark.parametrize("count, rows, cols", [(3, 0, 4), (3, 4, 0), (10**6, 0, 0)])
     def test_zero_extents_rejected(self, count, rows, cols):
         header = struct.pack(">IIII", 0x00000803, count, rows, cols)
@@ -104,6 +136,19 @@ class TestIdxLabels:
         blob = struct.pack(">II", 0x00000801, 9) + bytes([1, 2, 3])
         with pytest.raises(TruncationError):
             load_idx_labels(io.BytesIO(blob))
+
+    def test_header_checked_before_labels_are_read(self, monkeypatch):
+        blob = write_idx_labels([1] * 100)
+        monkeypatch.setattr(tensor, "MAX_BYTES", 99)
+        stream = CountingStream(blob)
+        with pytest.raises(ShapeError, match="IDX label bytes would take 100 bytes"):
+            load_idx_labels(stream)
+        assert stream.bytes_read == 8
+        monkeypatch.undo()
+        stream = CountingStream(blob + bytes(50))
+        with pytest.raises(TruncationError, match="more than 100 bytes"):
+            load_idx_labels(stream)
+        assert stream.bytes_read == 8 + 100 + 1
 
 
 class TestIdxRoundTrip:
@@ -212,6 +257,9 @@ class TestPgm:
     def test_header_cut_off(self):
         with pytest.raises(TruncationError):
             load_pgm(io.BytesIO(b"P5 2"))
+        # maxval with no separator byte after it
+        with pytest.raises(TruncationError, match="header ended after maxval"):
+            load_pgm(io.BytesIO(b"P5 2 2 255"))
 
     def test_non_integer_field(self):
         with pytest.raises(ParseError):

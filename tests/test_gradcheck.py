@@ -137,14 +137,14 @@ class TestDecisionPattern:
         base = _decision_pattern(net, traces)
         assert _decision_pattern(net, [replace(t) for t in traces]) == base
         conv, pool = traces[0], traces[1]
-        pool_index = tuple(i % n for i, n in zip(index, pool.argmax_rows.shape))
+        pool_index = tuple(i % n for i, n in zip(index, pool.winners.shape))
         variants = [
             [replace(conv, preact=self.flip_sign(conv.preact, index)), *traces[1:]],
         ]
-        for field in ("argmax_rows", "argmax_cols"):
-            moved = getattr(pool, field).copy()
-            moved[pool_index] += 1
-            variants.append([conv, replace(pool, **{field: moved}), *traces[2:]])
+        for step in (1, pool.input.shape[-1]):  # the next column, the next row
+            moved = pool.winners.copy()
+            moved[pool_index] += step
+            variants.append([conv, replace(pool, winners=moved), *traces[2:]])
         for k in (2, 3):  # the two ReLU dense layers
             t = traces[k]
             flipped = replace(t, preact=self.flip_sign(t.preact, index[-1] % t.preact.size))

@@ -90,6 +90,13 @@ def maxpool_oracle(act, window, stride):
     return pooled, rows, cols
 
 
+def flat_winners(rows, cols, input_shape):
+    """Flat C-order positions in a (d, h1, w1) input of the winners at
+    absolute (rows, cols), channel c holding pooled map c."""
+    d, h1, w1 = input_shape
+    return (np.arange(d)[:, None, None] * h1 + rows) * w1 + cols
+
+
 def strided_taps_oracle(image, g):
     """The earlier ``_taps``: a read-only (in_c, k_h, k_w, h1, w1) strided
     view of the zero-padded C-order image, kept as a bit-level oracle for
@@ -434,13 +441,13 @@ class TestGatherTables:
             preact, act, conv_trace = conv_forward(image, bank, RELU)
             pooled, pool_trace = maxpool_forward(act, pool)
             taps = _taps(image, bank.geometry)
-            return [preact, act, conv_trace.preact, pooled, pool_trace.argmax_rows,
-                    pool_trace.argmax_cols, taps]
+            return [preact, act, conv_trace.preact, pooled, pool_trace.winners, taps]
 
         outputs = run()
         want = [a.copy() for a in outputs]
-        tables = [t for entry in layers._TABLES.values() for t in entry]
-        assert len(tables) >= 5
+        assert ((2, 8, 10), (2, 3, 3), 1) in layers._TABLES  # the padded conv input
+        assert (outputs[1].shape, (1, 2, 2), 2) in layers._TABLES  # the conv map
+        tables = list(layers._TABLES.values())
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -455,7 +462,7 @@ class TestGatherTables:
         for n in range(1, 2 * layers._MAX_TABLES):
             g = ConvGeometry(n + 2, 3, 1, 3, 3, 1)
             _taps(np.zeros((1, n + 2, 3)), g)
-            assert g in layers._TABLES
+            assert ((1, n + 2, 3), (1, 3, 3), 1) in layers._TABLES
             assert len(layers._TABLES) <= layers._MAX_TABLES
 
     @staticmethod
@@ -471,41 +478,30 @@ class TestGatherTables:
     def test_table_builds_make_no_full_size_temporary(self, monkeypatch):
         # Each table is one broadcast add of small parts, so the build
         # peak stays near the bytes it returns.
-        g = ConvGeometry(8, 8, 1, 3, 3, 6, pad=100)
-        table, peak = self.build_peak(monkeypatch, layers._tap_table, g)
-        assert table.nbytes > 1 << 20 and peak <= 1.5 * table.nbytes
-        tables, peak = self.build_peak(monkeypatch, layers._window_table,
-                                      PoolGeometry(2, 2), 6, 200, 200)
-        size = sum(t.nbytes for t in tables)
-        assert size > 1 << 20 and peak <= 1.5 * size
+        # A 3x3 conv over an 8x8 image padded by 100, then 2x2/2 pooling
+        # of six 200x200 maps.
+        for args in (((1, 208, 208), (1, 3, 3), 1), ((6, 200, 200), (1, 2, 2), 2)):
+            table, peak = self.build_peak(monkeypatch, layers._window_table, *args)
+            assert table.nbytes > 1 << 20 and peak <= 1.5 * table.nbytes
 
-    @pytest.mark.parametrize("g", [
-        ConvGeometry(8, 8, 1, 3, 3, 6, pad=100),
-        ConvGeometry(9, 7, 2, 3, 1, 1, stride=2, pad=1),
-        ConvGeometry(5, 6, 3, 1, 1, 2),
+    @pytest.mark.parametrize("shape, window, stride", [
+        # conv taps of a padded image: the window spans every channel
+        pytest.param((1, 208, 208), (1, 3, 3), 1, id="tap-g0"),  # 8x8, pad 100
+        pytest.param((2, 11, 9), (2, 3, 1), 2, id="tap-g1"),  # 9x7, 3x1, stride 2, pad 1
+        pytest.param((3, 5, 6), (3, 1, 1), 1, id="tap-g2"),  # 5x6, 1x1
+        # pool windows over (d1, h1, w1) maps: one channel each
+        pytest.param((6, 200, 200), (1, 2, 2), 2, id="g0-6-200-200"),
+        pytest.param((2, 7, 9), (1, 3, 3), 2, id="g1-2-7-9"),
+        pytest.param((3, 4, 5), (1, 1, 1), 1, id="g2-3-4-5"),
     ])
-    def test_tap_table_matches_index_expression(self, g):
-        h1, w1, _ = conv_output_dims(g)
-        hp, wp = g.in_h + 2 * g.pad, g.in_w + 2 * g.pad
-        c, u, v = np.indices((g.in_c, g.k_h, g.k_w)).reshape(3, -1, 1)
-        i, j = np.indices((h1, w1)).reshape(2, 1, -1) * g.stride
-        assert np.array_equal(layers._tap_table(g), (c * hp + u + i) * wp + v + j)
-
-    @pytest.mark.parametrize("g, d1, h1, w1", [
-        (PoolGeometry(2, 2), 6, 200, 200),
-        (PoolGeometry(3, 2), 2, 7, 9),
-        (PoolGeometry(1, 1), 3, 4, 5),
-    ])
-    def test_window_table_matches_index_expression(self, g, d1, h1, w1):
-        h2, w2, d2 = pool_output_dims(h1, w1, d1, g)
-        du, dv = np.indices((g.window, g.window)).reshape(2, -1, 1)
-        c, i, j = np.indices((d2, h2, w2)).reshape(3, 1, -1)
-        rows, cols = i * g.stride + du, j * g.stride + dv
-        want = ((c * h1 + rows) * w1 + cols, rows, cols, np.arange(d2 * h2 * w2))
-        got = layers._window_table(g, d1, h1, w1)
-        assert len(got) == len(want)
-        for table, expect in zip(got, want):
-            assert np.array_equal(table, expect)
+    def test_window_table_matches_index_expression(self, shape, window, stride):
+        (n_c, n_h, n_w), (k_c, k_h, k_w) = shape, window
+        c, u, v = np.indices(window).reshape(3, -1, 1)
+        out_h, out_w = (n_h - k_h) // stride + 1, (n_w - k_w) // stride + 1
+        b, i, j = np.indices((n_c // k_c, out_h, out_w)).reshape(3, 1, -1)
+        rows, cols = i * stride + u, j * stride + v
+        want = ((b * k_c + c) * n_h + rows) * n_w + cols
+        assert np.array_equal(layers._window_table(shape, window, stride), want)
 
 
 class TestConvBackward:
@@ -632,13 +628,13 @@ class TestMaxPool:
         act = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         pooled, trace = maxpool_forward(act, PoolGeometry(2, 2))
         assert np.array_equal(pooled, [[[4.0]]])
-        assert trace.argmax_rows[0, 0, 0] == 1 and trace.argmax_cols[0, 0, 0] == 1
+        assert trace.winners[0, 0, 0] == 1 * 2 + 1  # row 1, col 1
 
     def test_tie_breaks_to_first_row_major(self):
         act = np.array([[[5.0, 5.0], [1.0, 2.0]]])
         pooled, trace = maxpool_forward(act, PoolGeometry(2, 2))
         assert np.array_equal(pooled, [[[5.0]]])
-        assert trace.argmax_rows[0, 0, 0] == 0 and trace.argmax_cols[0, 0, 0] == 0
+        assert trace.winners[0, 0, 0] == 0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(31)
@@ -646,8 +642,7 @@ class TestMaxPool:
         pooled, trace = maxpool_forward(act, PoolGeometry(2, 2))
         exp_pooled, exp_rows, exp_cols = maxpool_oracle(act, 2, 2)
         assert np.array_equal(pooled, exp_pooled)
-        assert np.array_equal(trace.argmax_rows, exp_rows)
-        assert np.array_equal(trace.argmax_cols, exp_cols)
+        assert np.array_equal(trace.winners, flat_winners(exp_rows, exp_cols, act.shape))
 
     def test_matches_brute_force_overlapping(self):
         rng = np.random.default_rng(32)
@@ -655,8 +650,7 @@ class TestMaxPool:
         pooled, trace = maxpool_forward(act, PoolGeometry(3, 2))
         exp_pooled, exp_rows, exp_cols = maxpool_oracle(act, 3, 2)
         assert np.array_equal(pooled, exp_pooled)
-        assert np.array_equal(trace.argmax_rows, exp_rows)
-        assert np.array_equal(trace.argmax_cols, exp_cols)
+        assert np.array_equal(trace.winners, flat_winners(exp_rows, exp_cols, act.shape))
 
     def test_non_integral_rejected(self):
         with pytest.raises(GeometryError):
@@ -689,9 +683,10 @@ class TestMaxPoolPlaneLoopOracle:
         expect, rows, cols = plane_loop_maxpool_oracle(act, window, stride)
         assert pooled.shape == expect.shape
         assert pooled.tobytes() == expect.tobytes()
-        for got, want in ((trace.argmax_rows, rows), (trace.argmax_cols, cols)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want)
+        want = flat_winners(rows, cols, act.shape)
+        got = trace.winners
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
         return pooled
 
     @pytest.mark.parametrize("window,stride,size", POOL_WINDOWS)
@@ -786,9 +781,9 @@ class TestMaxPoolBackward:
         grad = rng.standard_normal(pooled.shape) * 10.0 ** rng.integers(-8, 9, pooled.shape)
         grad[rng.random(pooled.shape) < 0.3] = -0.0
         out = maxpool_backward(grad, trace)
-        expect = maxpool_backward_oracle(
-            grad, trace.argmax_rows, trace.argmax_cols, act.shape
-        )
+        _, rows, cols = maxpool_oracle(act, window, stride)
+        assert np.array_equal(trace.winners, flat_winners(rows, cols, act.shape))
+        expect = maxpool_backward_oracle(grad, rows, cols, act.shape)
         assert np.array_equal(out.view(np.int64), expect.view(np.int64))
 
     def test_shape_mismatch(self):

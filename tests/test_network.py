@@ -363,8 +363,7 @@ class TestBackward:
             parts = []
             if net.conv_activation in piecewise:
                 parts.append(traces[0].preact >= 0)
-            parts.append(traces[1].argmax_rows)
-            parts.append(traces[1].argmax_cols)
+            parts.append(traces[1].winners)
             for layer, t in zip(net.dense, traces[2:]):
                 if layer.activation in piecewise:
                     parts.append(t.preact >= 0)
