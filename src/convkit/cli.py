@@ -23,7 +23,15 @@ import numpy as np
 from . import network as net_mod
 from . import tensor
 from .activations import ActivationKind, apply
-from .dataio import Dataset, dataset_from_idx, load_idx_labels, load_pgm, normalize, synth_bars
+from .dataio import (
+    Dataset,
+    assemble_dataset,
+    load_idx_images,
+    load_idx_labels,
+    load_pgm,
+    normalize,
+    synth_bars,
+)
 from .errors import (
     ConfigError,
     ConvkitError,
@@ -139,16 +147,16 @@ def _load_dataset(cfg: RunConfig, class_count: int) -> Dataset:
         img_path, lbl_path = parts[0].strip(), parts[1].strip()
         try:
             with open(img_path, "rb") as images, open(lbl_path, "rb") as labels:
+                indices = load_idx_labels(labels)
                 # widths[-1] is config: bound the N x widths[-1] labels first
-                count = len(load_idx_labels(labels))
                 try:
-                    tensor.check_bytes({"IDX labels": 8 * count * class_count})
+                    tensor.check_bytes({"IDX labels": 8 * len(indices) * class_count})
                 except ShapeError as e:
                     raise ConfigError(f"dense.widths: {e}") from e
-                labels.seek(0)
-                data = dataset_from_idx(images, labels, class_count)
+                raws = load_idx_images(images)
         except OSError as e:
             raise ParseError(f"cannot read IDX data: {e}") from e
+        data = assemble_dataset(raws, indices, class_count)
         if len(data.images) == 0:
             raise ParseError(f"IDX data {img_path} holds no samples")
         return data

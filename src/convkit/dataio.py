@@ -204,8 +204,13 @@ def dataset_from_idx(
     image_source: str | BinaryIO, label_source: str | BinaryIO, class_count: int
 ) -> Dataset:
     """Assemble a Dataset from an IDX image/label file pair."""
-    raws = load_idx_images(image_source)
-    indices = load_idx_labels(label_source)
+    return assemble_dataset(load_idx_images(image_source), load_idx_labels(label_source),
+                            class_count)
+
+
+def assemble_dataset(raws: np.ndarray, indices: np.ndarray, class_count: int) -> Dataset:
+    """A Dataset from (N, H, W) u8 images and N class indices, as the IDX
+    loaders return them: pixels scaled to [0, 1], labels one-hot."""
     if len(raws) != len(indices):
         raise ParseError(f"{len(raws)} images but {len(indices)} labels")
     outside = indices[indices >= class_count]

@@ -248,7 +248,9 @@ def maxpool_forward(
     One ``take`` through a table cached per geometry gathers the k*k
     window planes of the C-order input, stacked in row-major (du, dv)
     order so argmax's first-maximum rule is exactly the tie-break
-    contract. The winners are the table's entries at the argmax.
+    contract. The winners are the table's entries at the argmax: a table
+    entry is a per-entry part (column 0) plus a per-output part (row 0),
+    and ``table[0, 0] == 0``.
     """
     act = np.asarray(act, dtype=np.float64)
     if act.ndim != 3:
@@ -257,7 +259,7 @@ def maxpool_forward(
     h2, w2, d2 = pool_output_dims(h1, w1, d1, g)
     table = _window_table(act.shape, (1, g.window, g.window), g.stride)
     sel = act.take(table).argmax(axis=0)
-    winners = table[sel, np.arange(table.shape[1])].reshape(d2, h2, w2)
+    winners = (table[:, 0].take(sel) + table[0]).reshape(d2, h2, w2)
     # Gather the winners themselves (not a max, which may return the
     # other zero of a -0.0/0.0 tie or a different NaN).
     return act.take(winners), ForwardTrace(input=act, winners=winners)

@@ -38,9 +38,16 @@ def _check_pair(yhat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return yhat, y
 
 
-def _check_binary_labels(y: np.ndarray) -> None:
-    if not ((y == 0.0) | (y == 1.0)).all():
+def _label_mask(y: np.ndarray) -> np.ndarray:
+    """``y == 1.0``, after checking that every label is exactly 0 or 1.
+
+    The check compares counts: NaN, +-inf and every value other than +-0
+    and 1 are nonzero, so the counts differ exactly when some label is
+    neither 0 nor 1."""
+    mask = y == 1.0
+    if np.count_nonzero(y) != np.count_nonzero(mask):
         raise DomainError("cross-entropy labels must be exactly 0 or 1")
+    return mask
 
 
 def loss(kind: LossKind, yhat: np.ndarray, y: np.ndarray) -> float:
@@ -48,11 +55,12 @@ def loss(kind: LossKind, yhat: np.ndarray, y: np.ndarray) -> float:
     yhat, y = _check_pair(yhat, y)
     t = y.shape[0]
     if kind == LossKind.CROSS_ENTROPY:
-        _check_binary_labels(y)
+        mask = _label_mask(y)
         yc = np.minimum(np.maximum(yhat, CE_EPS), 1.0 - CE_EPS)
         # One log per component: the other label's term is +-0 * a finite
-        # log, so dropping it leaves every term's bits unchanged.
-        return float(-np.log(np.where(y == 1.0, yc, 1.0 - yc)).sum() / t)
+        # log, so dropping it leaves every term's bits unchanged. Negating
+        # the sum, not each log, is exact: the pairwise sum is sign-symmetric.
+        return -float(np.log(np.where(mask, yc, 1.0 - yc)).sum()) / t
     if kind == LossKind.MSE:
         return float(np.sum((y - yhat) ** 2) / t)
     if kind == LossKind.MSLE:
@@ -76,10 +84,12 @@ def ce_grad(yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the cross-entropy loss with respect to each prediction.
 
     Component i is (1/t) * (-y_i/yhat_i + (1 - y_i)/(1 - yhat_i)) with
-    yhat clamped away from 0 and 1 before the divisions.
+    yhat clamped away from 0 and 1 before the divisions. With a 0/1 label
+    one of the two terms is +-0 and the other finite and nonzero, so each
+    component is the other term alone, bit for bit.
     """
     yhat, y = _check_pair(yhat, y)
-    _check_binary_labels(y)
+    mask = _label_mask(y)
     t = y.shape[0]
     yc = np.minimum(np.maximum(yhat, CE_EPS), 1.0 - CE_EPS)
-    return (-y / yc + (1.0 - y) / (1.0 - yc)) / t
+    return np.where(mask, -1.0 / yc, 1.0 / (1.0 - yc)) / t

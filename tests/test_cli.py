@@ -1,15 +1,19 @@
+import builtins
 import struct
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from convkit import cli, tensor
 from convkit import network as nm
-from convkit import tensor
 from convkit.activations import ActivationKind
 from convkit.cli import main
 from convkit.layers import ConvGeometry, DenseLayer, KernelBank, PoolGeometry
+
+from test_dataio import CountingStream
 
 BASE_KEYS = """\
 conv.kernels=2
@@ -518,6 +522,30 @@ class TestIdxSource:
         capsys.readouterr()
         assert main(["eval", str(tmp_path / "idx.cnnf"), cfg]) == 0
         assert capsys.readouterr().out.startswith("loss=")
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_label_payload_read_once(self, tmp_path, capsys, monkeypatch, command):
+        img_path, lbl_path = self.write_idx_pair(tmp_path)
+        cfg = write_config(
+            tmp_path, "idx.cfg", drop="data.source",
+            extra=f"data.source=idx:{img_path},{lbl_path}",
+            out_model=str(tmp_path / "idx.cnnf"),
+            out_csv=str(tmp_path / "idx.csv"),
+        )
+        streams = {}
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if str(path) not in (str(img_path), str(lbl_path)):
+                return builtins.open(path, mode, *args, **kwargs)
+            assert mode == "rb"
+            streams[str(path)] = CountingStream(Path(path).read_bytes())
+            return streams[str(path)]
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        assert main([command, cfg]) == 0
+        # header plus payload of each file: 12 labels, 12 images of 8x8
+        assert streams[str(lbl_path)].bytes_read == 8 + 12
+        assert streams[str(img_path)].bytes_read == 16 + 12 * 64
 
     def test_empty_idx_is_data_error(self, tmp_path, capsys):
         img_path = tmp_path / "empty-imgs.idx"

@@ -1,18 +1,25 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from convkit import network as nm
+from convkit.activations import ActivationKind
 from convkit.dataio import one_hot
 from convkit.errors import DomainError
 from convkit.gradcheck import (
+    GradReport,
+    GroupResult,
     _decision_pattern,
     check_network,
     relative_error,
 )
 from convkit.layers import ConvGeometry, PoolGeometry
 from convkit.layers import dense_backward as real_dense_backward
+from convkit.losses import LossKind, loss
+
+from test_golden import readme_bars0, two_channel_sample0
 
 FIXTURE_ARCH = nm.Architecture(
     conv=ConvGeometry(8, 8, 1, 3, 3, 2),
@@ -134,8 +141,8 @@ class TestDecisionPattern:
     @pytest.mark.parametrize("index", [(0, 0, 0), (1, 5, 5), (0, 3, 2)])
     def test_each_part_changes_the_pattern(self, index):
         net, traces = self.traces()
-        base = _decision_pattern(net, traces)
-        assert _decision_pattern(net, [replace(t) for t in traces]) == base
+        base = _decision_pattern(net, traces, 0)
+        assert _decision_pattern(net, [replace(t) for t in traces], 0) == base
         conv, pool = traces[0], traces[1]
         pool_index = tuple(i % n for i, n in zip(index, pool.winners.shape))
         variants = [
@@ -150,13 +157,184 @@ class TestDecisionPattern:
             flipped = replace(t, preact=self.flip_sign(t.preact, index[-1] % t.preact.size))
             variants.append([*traces[:k], flipped, *traces[k + 1:]])
         for changed in variants:
-            assert _decision_pattern(net, changed) != base
+            assert _decision_pattern(net, changed, 0) != base
 
     def test_sigmoid_output_is_not_a_decision(self):
         net, traces = self.traces()
         last = traces[-1]
         flipped = replace(last, preact=self.flip_sign(last.preact, 0))
-        assert _decision_pattern(net, [*traces[:-1], flipped]) == _decision_pattern(net, traces)
+        base = _decision_pattern(net, traces, 0)
+        assert _decision_pattern(net, [*traces[:-1], flipped], 0) == base
+
+    @pytest.mark.parametrize("first", [2, 3])
+    def test_pattern_starts_at_first_trace(self, first):
+        net, traces = self.traces()
+        base = _decision_pattern(net, traces, first)
+        conv, pool = traces[0], traces[1]
+        moved = pool.winners.copy()
+        moved[0, 0, 0] += 1
+        earlier = [
+            replace(conv, preact=self.flip_sign(conv.preact, (0, 0, 0))),
+            replace(pool, winners=moved),
+        ]
+        for k in range(2, first):
+            earlier.append(replace(traces[k], preact=self.flip_sign(traces[k].preact, 0)))
+        assert _decision_pattern(net, [*earlier, *traces[first:]], first) == base
+        t = traces[first]
+        flipped = replace(t, preact=self.flip_sign(t.preact, 0))
+        changed = [*traces[:first], flipped, *traces[first + 1:]]
+        assert _decision_pattern(net, changed, first) != base
+
+
+def full_decision_pattern(net, traces):
+    """The decision pattern of a whole forward run, which every
+    perturbation compared before the patterns started at the perturbed
+    layer; kept as the reference."""
+    piecewise = (ActivationKind.RELU, ActivationKind.LEAKY_RELU)
+    conv_trace, pool_trace = traces[0], traces[1]
+    parts = [pool_trace.winners]
+    if net.conv_activation in piecewise:
+        parts.append(conv_trace.preact >= 0)
+    for layer, trace in zip(net.dense, traces[2:]):
+        if layer.activation in piecewise:
+            parts.append(trace.preact >= 0)
+    return b"".join(p.tobytes() for p in parts)
+
+
+def full_pattern_check_network(net, sample, threshold=1e-6, h_rel=1e-5):
+    """check_network's loop with ``full_decision_pattern`` in every run."""
+    image, label = sample
+
+    def run():
+        yhat, traces = nm.forward(net, image)
+        value = loss(LossKind.CROSS_ENTROPY, yhat, label)
+        assert math.isfinite(value)
+        return value, full_decision_pattern(net, traces)
+
+    _, traces = nm.forward(net, image)
+    analytic = nm.backward(net, traces, label).tolist()
+    params = net.params
+    results = []
+    for name, group, shape in nm.param_groups(net):
+        errors, checked, n_excluded = [], [], 0
+        for idx in range(group.start, group.stop):
+            theta = params[idx]
+            h = h_rel * max(1.0, abs(theta))
+            try:
+                params[idx] = theta + h
+                loss_hi, pat_hi = run()
+                params[idx] = theta - h
+                loss_lo, pat_lo = run()
+            finally:
+                params[idx] = theta
+            if pat_hi != pat_lo:
+                n_excluded += 1
+                continue
+            numeric = (loss_hi - loss_lo) / (2.0 * h)
+            errors.append(relative_error(analytic[idx], numeric))
+            checked.append(idx - group.start)
+        max_err = max(errors) if errors else 0.0
+        mean_err = sum(errors) / len(errors) if errors else 0.0
+        argmax = ()
+        if errors:
+            flat = checked[errors.index(max_err)]
+            argmax = tuple(int(i) for i in np.unravel_index(flat, shape))
+        results.append(GroupResult(name, max_err, mean_err, argmax, len(errors),
+                                   n_excluded, max_err <= threshold))
+    return GradReport(groups=results, threshold=threshold)
+
+
+def dense1_near_kink():
+    """Two hidden ReLU dense layers; dense[1]'s smallest positive
+    pre-activation is moved to 1e-9, so perturbing its own bias flips it."""
+    net = nm.init(DEEP_ARCH, 20)
+    image, label = sample(20)
+    z = nm.forward(net, image)[1][3].preact
+    j = int(np.argmin(np.where(z > 0, z, np.inf)))
+    net.dense[1].biases[j] -= z[j] - 1e-9
+    return net, (image, label)
+
+
+def with_corner_preact(target):
+    """The fixture net on sample 22, with kernel 0's pre-activation at
+    (0, 0) moved to ``target(preact[0])`` through pixel (0, 0), which no
+    other output of kernel 0 reads. Output (1, 1), at 0.24, is the best
+    of the other three in its pool window."""
+    net = nm.init(FIXTURE_ARCH, 22)
+    image, label = sample(22)
+    pre = nm.forward(net, image)[1][0].preact[0]
+    image[0, 0, 0] += (target(pre) - pre[0, 0]) / net.bank.kernels[0, 0, 0, 0]
+    return net, (image, label)
+
+
+def conv_winner_near_tie():
+    """(0, 0) sits 1e-9 above its window's best: a kernel-0 perturbation
+    moves that winner without flipping a ReLU sign."""
+    return with_corner_preact(lambda pre: max(pre[0, 1], pre[1, 0], pre[1, 1]) + 1e-9)
+
+
+def conv_sign_near_kink():
+    """(0, 0) sits at 1e-9, below its window's winner: perturbing kernel
+    0's bias flips that ReLU sign and no other decision."""
+    return with_corner_preact(lambda pre: 1e-9)
+
+
+class TestFullPatternReference:
+    """The report with patterns from the perturbed layer on equals the
+    report with full patterns, field by field."""
+
+    CASES = {
+        "readme-bars-sample0": readme_bars0,
+        "two-channel-pad1": two_channel_sample0,
+        "dense1-near-kink": dense1_near_kink,
+        "conv-winner-near-tie": conv_winner_near_tie,
+        "conv-sign-near-kink": conv_sign_near_kink,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_report(self, case):
+        net, sample_ = self.CASES[case]()
+        got = check_network(net, sample_)
+        want = full_pattern_check_network(net, sample_)
+        assert got.groups == want.groups
+        assert got.threshold == want.threshold
+
+    def test_dense1_excluded_on_its_own_signs(self):
+        net, sample_ = dense1_near_kink()
+        groups = {g.group: g for g in check_network(net, sample_).groups}
+        assert groups["dense[1].b"].n_excluded == 1
+        assert groups["dense[2].W"].n_excluded == groups["dense[2].b"].n_excluded == 0
+
+    def test_conv_perturbation_moves_a_winner(self):
+        net, (image, label) = conv_winner_near_tie()
+        _, base = nm.forward(net, image)
+        assert base[1].winners[0, 0, 0] == 0
+        theta = net.bank.kernels[0, 0, 1, 1]
+        moved = []
+        for h in (1e-5, -1e-5):
+            net.bank.kernels[0, 0, 1, 1] = theta + h
+            _, traces = nm.forward(net, image)
+            net.bank.kernels[0, 0, 1, 1] = theta
+            assert np.array_equal(traces[0].preact >= 0, base[0].preact >= 0)
+            moved.append(traces[1].winners[0, 0, 0])
+        assert moved[0] != moved[1]
+        groups = {g.group: g for g in check_network(net, (image, label)).groups}
+        assert groups["conv.kernels"].n_excluded > 0
+
+    def test_conv_bias_excluded_on_a_conv_sign_alone(self):
+        net, (image, label) = conv_sign_near_kink()
+        _, base = nm.forward(net, image)
+        theta = net.bank.biases[0]
+        for h in (1e-5, -1e-5):
+            net.bank.biases[0] = theta + h
+            _, traces = nm.forward(net, image)
+            net.bank.biases[0] = theta
+            assert bool(traces[0].preact[0, 0, 0] >= 0) == (h > 0)
+            assert np.array_equal(traces[1].winners, base[1].winners)
+            for k in range(2, len(traces)):
+                assert np.array_equal(traces[k].preact >= 0, base[k].preact >= 0)
+        groups = {g.group: g for g in check_network(net, (image, label)).groups}
+        assert groups["conv.biases"].n_excluded == 1
 
 
 class TestMutationSensitivity:

@@ -484,7 +484,7 @@ class TestGatherTables:
             table, peak = self.build_peak(monkeypatch, layers._window_table, *args)
             assert table.nbytes > 1 << 20 and peak <= 1.5 * table.nbytes
 
-    @pytest.mark.parametrize("shape, window, stride", [
+    GEOMETRIES = [
         # conv taps of a padded image: the window spans every channel
         pytest.param((1, 208, 208), (1, 3, 3), 1, id="tap-g0"),  # 8x8, pad 100
         pytest.param((2, 11, 9), (2, 3, 1), 2, id="tap-g1"),  # 9x7, 3x1, stride 2, pad 1
@@ -493,7 +493,9 @@ class TestGatherTables:
         pytest.param((6, 200, 200), (1, 2, 2), 2, id="g0-6-200-200"),
         pytest.param((2, 7, 9), (1, 3, 3), 2, id="g1-2-7-9"),
         pytest.param((3, 4, 5), (1, 1, 1), 1, id="g2-3-4-5"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("shape, window, stride", GEOMETRIES)
     def test_window_table_matches_index_expression(self, shape, window, stride):
         (n_c, n_h, n_w), (k_c, k_h, k_w) = shape, window
         c, u, v = np.indices(window).reshape(3, -1, 1)
@@ -502,6 +504,13 @@ class TestGatherTables:
         rows, cols = i * stride + u, j * stride + v
         want = ((b * k_c + c) * n_h + rows) * n_w + cols
         assert np.array_equal(layers._window_table(shape, window, stride), want)
+
+    @pytest.mark.parametrize("shape, window, stride", GEOMETRIES)
+    def test_window_table_is_entry_part_plus_output_part(self, shape, window, stride):
+        # maxpool_forward reads a winner as table[:, 0][sel] + table[0]
+        table = layers._window_table(shape, window, stride)
+        assert table[0, 0] == 0
+        assert np.array_equal(table, table[:, :1] + table[:1])
 
 
 class TestConvBackward:

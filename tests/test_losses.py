@@ -16,6 +16,18 @@ def two_log_cross_entropy(yhat, y):
     return float(-(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc)).sum() / len(y))
 
 
+def two_term_ce_grad(yhat, y):
+    """The earlier cross-entropy gradient, which adds both label-weighted
+    terms of every component, kept as a bit-level oracle."""
+    yc = np.minimum(np.maximum(yhat, CE_EPS), 1.0 - CE_EPS)
+    return (-y / yc + (1.0 - y) / (1.0 - yc)) / len(y)
+
+
+def elementwise_binary(y):
+    """The earlier label check, kept as the reference for the count check."""
+    return bool(((y == 0.0) | (y == 1.0)).all())
+
+
 def random_valid_pair(rng, kind, t):
     """Random (yhat, y) inside the loss's domain."""
     if kind == LossKind.CROSS_ENTROPY:
@@ -135,14 +147,14 @@ class TestCrossEntropyOneLog:
         want = two_log_cross_entropy(yhat, y)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (yhat, y)
 
-    @pytest.mark.parametrize("label", [0.0, 1.0])
+    @pytest.mark.parametrize("label", [0.0, -0.0, 1.0])
     def test_edge_values_one_component(self, label):
         for v in self.EDGES:
             self.same_bytes(np.array([v]), np.array([label]))
 
     def test_edge_values_mixed_labels(self):
-        yhat = np.array(self.EDGES * 2)
-        y = np.repeat([0.0, 1.0], len(self.EDGES))
+        yhat = np.array(self.EDGES * 3)
+        y = np.repeat([0.0, -0.0, 1.0], len(self.EDGES))
         self.same_bytes(yhat, y)
         self.same_bytes(yhat[::-1].copy(), y)
 
@@ -195,3 +207,63 @@ class TestCrossEntropyGrad:
     def test_binary_label_required(self):
         with pytest.raises(DomainError):
             ce_grad(np.array([0.5]), np.array([0.5]))
+
+
+class TestCrossEntropyGradOneTerm:
+    """ce_grad against the two-term form it replaced: equal bytes."""
+
+    EDGES = TestCrossEntropyOneLog.EDGES
+
+    @staticmethod
+    def same_bytes(yhat, y):
+        got = ce_grad(yhat, y)
+        want = two_term_ce_grad(yhat, y)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (yhat, y)
+
+    @pytest.mark.parametrize("label", [0.0, -0.0, 1.0])
+    def test_edge_values_one_component(self, label):
+        for v in self.EDGES:
+            self.same_bytes(np.array([v]), np.array([label]))
+
+    def test_edge_values_mixed_labels(self):
+        yhat = np.array(self.EDGES * 3)
+        y = np.repeat([0.0, -0.0, 1.0], len(self.EDGES))
+        self.same_bytes(yhat, y)
+        self.same_bytes(yhat[::-1].copy(), y)
+
+    def test_random_values(self):
+        rng = np.random.default_rng(71)
+        for t in range(1, 131):
+            yhat = rng.uniform(size=t) ** rng.integers(1, 40)
+            y = rng.choice([0.0, -0.0, 1.0], size=t)
+            self.same_bytes(yhat, y)
+            self.same_bytes(1.0 - yhat, y)
+            self.same_bytes(yhat, 1.0 - np.abs(y))
+
+
+class TestLabelCheck:
+    """loss(CROSS_ENTROPY) and ce_grad accept exactly the labels that the
+    elementwise 0-or-1 check accepted."""
+
+    ONE_ULP_BELOW = np.nextafter(1.0, 0.0)
+    ONE_ULP_ABOVE = np.nextafter(1.0, 2.0)
+    VALUES = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 0.5, ONE_ULP_BELOW,
+              ONE_ULP_ABOVE, 5e-324, -5e-324, 2.0, -1.0]
+
+    @staticmethod
+    def accepts(fn, yhat, y):
+        try:
+            fn(yhat, y)
+        except DomainError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("others", [[], [0.0, 1.0], [1.0, -0.0, 1.0]])
+    def test_same_verdict_as_elementwise_check(self, value, others):
+        y = np.array([*others, value])
+        yhat = np.full(len(y), 0.25)
+        want = elementwise_binary(y)
+        assert self.accepts(ce_grad, yhat, y) is want
+        assert self.accepts(lambda a, b: loss(LossKind.CROSS_ENTROPY, a, b), yhat, y) is want
