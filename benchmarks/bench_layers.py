@@ -1,5 +1,6 @@
-"""pytest-benchmark cases for the layers, the loss, the sigmoid, the SGD
-update and a whole network's forward and backward at the benchmark's two
+"""pytest-benchmark cases for the layers, ``tensor.matvec`` over row-major
+and column-major weights, the loss, the sigmoid, the SGD update and a
+whole network's forward and backward at the benchmark's two
 geometries: bars (8x8 input, 6 kernels of 3x3, 2x2 pool, dense 32,2: first
 dense layer 54 -> 32) and MNIST (28x28 input, 8 kernels of 5x5, 2x2 pool,
 dense 64,10: first dense layer 1152 -> 64). The conv cases also run a
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from convkit import network as nm
+from convkit import tensor
 from convkit.activations import ActivationKind, apply
 from convkit.layers import (
     ConvGeometry,
@@ -100,6 +102,16 @@ def dense_operands(geometry: str):
 def test_dense_forward(benchmark, geometry):
     layer, a_prev, _ = dense_operands(geometry)
     benchmark(dense_forward, a_prev, layer)
+
+
+@pytest.mark.parametrize("layout", ["row-major", "column-major"])
+@pytest.mark.parametrize("geometry", DENSE)
+def test_matvec(benchmark, geometry, layout):
+    # train and evaluate pass column-major weights (a contiguous W.T);
+    # a single forward such as predict passes the row-major ones.
+    layer, a_prev, _ = dense_operands(geometry)
+    w = layer.weights if layout == "row-major" else np.asfortranarray(layer.weights)
+    benchmark(tensor.matvec, w, a_prev)
 
 
 @pytest.mark.parametrize("geometry", DENSE)

@@ -8,6 +8,7 @@ byte of every artifact a run produces.
 
 from __future__ import annotations
 
+import copy
 import io
 import math
 import struct
@@ -208,6 +209,19 @@ def forward(net: Network, image: np.ndarray) -> tuple[np.ndarray, list[ForwardTr
     return a, traces
 
 
+def _column_major(net: Network) -> Network:
+    """A shallow copy of ``net`` for forward passes over fixed weights: each
+    dense layer holds a column-major copy of its weights, so ``matvec`` reads
+    a contiguous ``W.T`` and forms the same products. The copy's weights are
+    not views into ``params``; it must not outlive the batch or the call it
+    was made for."""
+    fwd = copy.copy(net)
+    fwd.dense = [
+        replace(layer, weights=np.asfortranarray(layer.weights)) for layer in net.dense
+    ]
+    return fwd
+
+
 def backward(net: Network, traces: list[ForwardTrace], y: np.ndarray) -> np.ndarray:
     """Gradient of the cross-entropy loss for one sample, using the traces
     the matching forward call produced, laid out like ``net.params``."""
@@ -284,8 +298,9 @@ def train(
                 order = rng.permutation(n)
                 for start in range(0, n, cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
+                    fwd = _column_major(net)
                     grads = (
-                        backward(net, forward(net, data.images[i])[1], data.labels[i])
+                        backward(net, forward(fwd, data.images[i])[1], data.labels[i])
                         for i in idx
                     )
                     net = sgd_step(net, _mean_grads(grads), cfg.learning_rate)
@@ -313,12 +328,13 @@ def evaluate(net: Network, data: Dataset) -> tuple[float, float]:
     pass overflows."""
     if len(data.images) == 0:
         raise DomainError("cannot evaluate an empty dataset")
+    fwd = _column_major(net)
     total = 0.0
     correct = 0
     # The check below reports an overflow, so numpy's warnings would be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for image, label in zip(data.images, data.labels):
-            yhat, _ = forward(net, image)
+            yhat, _ = forward(fwd, image)
             total += loss(LossKind.CROSS_ENTROPY, yhat, label)
             if yhat.argmax() == label.argmax():
                 correct += 1

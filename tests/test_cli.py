@@ -629,6 +629,29 @@ class TestIdxSource:
         assert not (tmp_path / "over.csv").exists()
         assert peak < 1 << 20
 
+    def test_oversized_labels_for_eval_are_data_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # eval takes its 100 classes from the model file; its config holds
+        # no dense.widths
+        img_path, lbl_path = self.write_idx_pair(tmp_path)
+        model = str(tmp_path / "wide.cnnf")
+        arch = nm.Architecture(ConvGeometry(8, 8, 1, 3, 3, 2), PoolGeometry(2, 2), (8, 100))
+        nm.save(nm.init(arch, 0), model)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"data.source=idx:{img_path},{lbl_path}\n")
+        monkeypatch.setattr(tensor, "MAX_BYTES", 9600)
+        assert main(["eval", model, str(cfg)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(tensor, "MAX_BYTES", 9599)
+        code, peak = traced_main(["eval", model, str(cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dense.widths" not in captured.err
+        assert ("model has 100 classes: IDX labels would take 9600 bytes, "
+                "more than 9599") in captured.err
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_oversized_idx_images_are_data_error(self, tmp_path, capsys,
                                                  monkeypatch, command):

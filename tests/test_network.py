@@ -580,6 +580,51 @@ class TestEvaluate:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def ten_class_28x28(n=30, seed=8):
+    rng = np.random.default_rng(seed)
+    images = rng.uniform(0.0, 1.0, size=(n, 1, 28, 28))
+    return Dataset(images=images, labels=np.eye(10)[rng.permutation(n) % 10], class_count=10)
+
+
+# The README's bars network, and a 10-class MNIST-shaped one.
+FORWARD_COPY_CASES = {
+    "bars": (nm.Architecture(ConvGeometry(8, 8, 1, 3, 3, 6), PoolGeometry(2, 2), (32, 2)),
+             lambda: synth_bars(24, 8, 8, seed=7)),
+    "10class-28x28": (nm.Architecture(ConvGeometry(28, 28, 1, 5, 5, 3), PoolGeometry(2, 2),
+                                      (16, 10)), ten_class_28x28),
+}
+
+
+@pytest.mark.parametrize("case", FORWARD_COPY_CASES)
+class TestColumnMajorForwardCopies:
+    """train and evaluate run their forward passes on column-major copies of
+    the dense weights; none of them may reach the caller."""
+
+    def test_train_returns_row_major_views(self, case):
+        arch, dataset = FORWARD_COPY_CASES[case]
+        net = nm.init(arch, 11)
+        before = net.params.tobytes()
+        cfg = nm.TrainConfig(learning_rate=0.1, epochs=2, batch_size=10, rng_seed=3)
+        trained, _ = nm.train(net, dataset(), cfg)
+        assert net.params.tobytes() == before
+        assert trained.params.tobytes() != before
+        for layer in trained.dense:
+            assert layer.weights.flags.c_contiguous
+            assert np.shares_memory(layer.weights, trained.params)
+
+    def test_evaluate_matches_per_sample_loop(self, case):
+        arch, dataset = FORWARD_COPY_CASES[case]
+        net, data = nm.init(arch, 12), dataset()
+        total, correct = 0.0, 0
+        for image, label in zip(data.images, data.labels):
+            yhat, _ = nm.forward(net, image)
+            total += loss(LossKind.CROSS_ENTROPY, yhat, label)
+            correct += int(yhat.argmax() == label.argmax())
+        n = len(data.images)
+        mean_loss, accuracy = nm.evaluate(net, data)
+        assert (mean_loss.hex(), accuracy.hex()) == ((total / n).hex(), (correct / n).hex())
+
+
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         net = fixture_net(23)

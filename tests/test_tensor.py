@@ -116,6 +116,28 @@ class TestMatvec:
         a = rng.standard_normal(n_in)
         assert np.array_equal(bits(tensor.matvec(w, a)), bits(matvec_oracle(w, a)))
 
+    @pytest.mark.parametrize("case", [
+        "64x1152", "32x54", "n_out=1", "n_in=1", "all -0.0 products", "nan and inf weights",
+    ])
+    def test_column_major_weights_same_bytes(self, case):
+        # train and evaluate hand matvec column-major weights; the products
+        # and their sum order must not depend on the layout.
+        n_out, n_in = {"64x1152": (64, 1152), "n_out=1": (1, 300), "n_in=1": (40, 1)}.get(
+            case, (32, 54))
+        rng = np.random.default_rng(n_out * 10_000 + n_in)
+        w = rng.standard_normal((n_out, n_in)) * 10.0 ** rng.integers(-6, 7, (n_out, n_in))
+        a = rng.standard_normal(n_in)
+        if case == "all -0.0 products":
+            w, a = np.zeros((n_out, n_in)), -np.abs(a)
+        if case == "nan and inf weights":
+            w[3, 7], w[5, 11] = np.nan, np.inf
+        out = tensor.matvec(w, a)
+        assert tensor.matvec(np.asfortranarray(w), a).tobytes() == out.tobytes()
+        if case == "all -0.0 products":
+            assert np.signbit(out).all()
+        if case == "nan and inf weights":
+            assert np.isnan(out[3]) and np.isinf(out[5])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             tensor.matvec(np.ones((2, 3)), np.ones(4))
