@@ -25,9 +25,7 @@ from . import tensor
 from .activations import ActivationKind, apply
 from .dataio import (
     Dataset,
-    assemble_dataset,
-    load_idx_images,
-    load_idx_labels,
+    dataset_from_idx,
     load_pgm,
     normalize,
     synth_bars,
@@ -122,10 +120,8 @@ def _seed(cfg: RunConfig) -> int:
     return cfg.intval("train.seed", 0, 2**64 - 1)
 
 
-def _load_dataset(cfg: RunConfig, class_count: int, *, from_model: bool) -> Dataset:
-    """The dataset ``data.source`` names, with one-hot labels of
-    ``class_count`` classes: ``dense.widths[-1]`` of the config, or the
-    model file's class count when ``from_model``."""
+def _load_dataset(cfg: RunConfig, class_count: int) -> Dataset:
+    """The dataset ``data.source`` names, with labels in [0, class_count)."""
     source = cfg.require("data.source")
     if source.startswith("bars:"):
         parts = source[len("bars:"):].split(",")
@@ -150,18 +146,9 @@ def _load_dataset(cfg: RunConfig, class_count: int, *, from_model: bool) -> Data
         img_path, lbl_path = parts[0].strip(), parts[1].strip()
         try:
             with open(img_path, "rb") as images, open(lbl_path, "rb") as labels:
-                indices = load_idx_labels(labels)
-                # Bound the N x class_count labels before the images are read.
-                try:
-                    tensor.check_bytes({"IDX labels": 8 * len(indices) * class_count})
-                except ShapeError as e:
-                    if from_model:
-                        raise ShapeError(f"model has {class_count} classes: {e}") from e
-                    raise ConfigError(f"dense.widths: {e}") from e
-                raws = load_idx_images(images)
+                data = dataset_from_idx(images, labels, class_count)
         except OSError as e:
             raise ParseError(f"cannot read IDX data: {e}") from e
-        data = assemble_dataset(raws, indices, class_count)
         if len(data.images) == 0:
             raise ParseError(f"IDX data {img_path} holds no samples")
         return data
@@ -190,7 +177,7 @@ def _network_and_data(cfg: RunConfig) -> tuple[net_mod.Network, Dataset]:
         tensor.check_bytes(smallest.array_bytes())
     except ShapeError as e:
         raise ConfigError(f"invalid architecture: {e}") from e
-    data = _load_dataset(cfg, widths[-1], from_model=False)
+    data = _load_dataset(cfg, widths[-1])
     _, in_h, in_w = data.images[0].shape
     # Bad geometry and oversized arrays come from config values, so they
     # report as config errors.
@@ -247,7 +234,7 @@ def cmd_train(config_path: str) -> int:
 def cmd_eval(model_path: str, config_path: str) -> int:
     cfg = RunConfig.from_file(config_path)
     net = _load_model(model_path)
-    data = _load_dataset(cfg, net.class_count, from_model=True)
+    data = _load_dataset(cfg, net.class_count)
     _check_extents(net, data)
     mean_loss, accuracy = net_mod.evaluate(net, data)
     print(f"loss={mean_loss:.6f} accuracy={accuracy:.6f}")

@@ -3,6 +3,7 @@ normalization, and in-memory dataset assembly."""
 
 from __future__ import annotations
 
+import operator
 import struct
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ IDX_LABEL_MAGIC = 0x00000801
 @dataclass
 class Dataset:
     """Normalized images in [0, 1], one C-contiguous (N, 1, H, W) float64
-    array, paired with one-hot labels, one (N, class_count) float64 array."""
+    array, paired with class indices, one C-contiguous (N,) int64 array in
+    [0, class_count)."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -29,22 +31,22 @@ class Dataset:
     def __post_init__(self):
         try:
             self.images = np.ascontiguousarray(self.images, dtype=np.float64)
-            self.labels = np.ascontiguousarray(self.labels, dtype=np.float64)
+            labels = np.asarray(self.labels)
         except (TypeError, ValueError) as e:
             raise ShapeError(f"dataset fields are not numeric arrays: {e}") from None
+        if labels.ndim != 1 or labels.dtype.kind not in "iu":
+            raise ShapeError(f"labels {labels.dtype} {labels.shape} are not (N,) class indices")
         n = len(self.images)
-        if len(self.labels) != n:
-            raise ShapeError(f"{n} images vs {len(self.labels)} labels")
+        if len(labels) != n:
+            raise ShapeError(f"{n} images vs {len(labels)} labels")
         if self.class_count < 1:
             raise DomainError(f"class_count must be >= 1, got {self.class_count}")
         if self.images.ndim != 4 or self.images.shape[1] != 1:
             raise ShapeError(f"images shape {self.images.shape} is not (N, 1, H, W)")
-        if self.labels.shape != (n, self.class_count):
-            raise ShapeError(f"labels shape {self.labels.shape} != ({n}, {self.class_count})")
-        lab = self.labels
-        bad = ((lab != 0.0) & (lab != 1.0)).any(axis=1) | (lab.sum(axis=1) != 1.0)
-        if bad.any():
-            raise DomainError(f"label {lab[bad.argmax()]} is not one-hot")
+        outside = labels[(labels < 0) | (labels >= self.class_count)]
+        if outside.size:
+            raise DomainError(f"label {outside[0]} outside [0, {self.class_count})")
+        self.labels = np.ascontiguousarray(labels, dtype=np.int64)
 
 
 def _opened(source: str | BinaryIO) -> ContextManager[BinaryIO]:
@@ -120,10 +122,12 @@ def load_pgm(source: str | BinaryIO) -> np.ndarray:
     tolerating '#' comments between tokens. One whitespace byte separates
     maxval from the raw pixel payload. Only 8-bit PGMs, maxval 255, are
     read, since ``normalize`` divides by 255; a pixel above a smaller
-    maxval is named in the error.
+    maxval is named in the error. The float64 image ``normalize`` makes
+    must fit ``tensor.MAX_BYTES``: that is checked before the pixels are
+    copied, and at most ``MAX_BYTES + 1`` bytes of the file are read.
     """
     with _opened(source) as f:
-        blob = f.read()
+        blob = f.read(tensor.MAX_BYTES + 1)
     pos = 0
 
     def skip_separators(p: int) -> int:
@@ -159,6 +163,7 @@ def load_pgm(source: str | BinaryIO) -> np.ndarray:
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ParseError(f"PGM extents {width}x{height} must be positive")
+    tensor.check_bytes({"PGM image": 8 * width * height})
     only_8_bit = f"PGM maxval {maxval}: only 8-bit PGMs (maxval 255) are read"
     if not 0 < maxval <= 255:
         raise ParseError(only_8_bit)
@@ -192,7 +197,11 @@ def normalize(raw: np.ndarray) -> np.ndarray:
 
 
 def one_hot(index: int, class_count: int) -> np.ndarray:
-    """Zeros with a single 1 at ``index``."""
+    """The 0/1 target vector of class ``index``: zeros with a single 1."""
+    try:
+        index = operator.index(index)
+    except TypeError:
+        raise DomainError(f"class index {index!r} is not an integer") from None
     if not 0 <= index < class_count:
         raise DomainError(f"class index {index} outside [0, {class_count})")
     v = np.zeros(class_count)
@@ -203,21 +212,13 @@ def one_hot(index: int, class_count: int) -> np.ndarray:
 def dataset_from_idx(
     image_source: str | BinaryIO, label_source: str | BinaryIO, class_count: int
 ) -> Dataset:
-    """Assemble a Dataset from an IDX image/label file pair."""
-    return assemble_dataset(load_idx_images(image_source), load_idx_labels(label_source),
-                            class_count)
-
-
-def assemble_dataset(raws: np.ndarray, indices: np.ndarray, class_count: int) -> Dataset:
-    """A Dataset from (N, H, W) u8 images and N class indices, as the IDX
-    loaders return them: pixels scaled to [0, 1], labels one-hot."""
-    if len(raws) != len(indices):
-        raise ParseError(f"{len(raws)} images but {len(indices)} labels")
-    outside = indices[indices >= class_count]
-    if outside.size:
-        raise DomainError(f"label {outside[0]} outside [0, {class_count})")
-    tensor.check_bytes({"IDX labels": 8 * len(indices) * class_count})
-    labels = (indices[:, None] == np.arange(class_count)).astype(np.float64)
+    """A Dataset from an IDX image/label file pair: pixels scaled to [0, 1],
+    labels as class indices. The labels are read first, and their count is
+    checked before the images are made float64."""
+    labels = load_idx_labels(label_source)
+    raws = load_idx_images(image_source)
+    if len(raws) != len(labels):
+        raise ParseError(f"{len(raws)} images but {len(labels)} labels")
     return Dataset(images=raws[:, None] / 255.0, labels=labels, class_count=class_count)
 
 
@@ -234,7 +235,7 @@ def synth_bars(n: int, h: int, w: int, seed: int) -> Dataset:
     tensor.check_bytes({"bars images": 8 * n * h * w})  # the labels take less
     rng = np.random.Generator(np.random.PCG64(seed))
     images = np.empty((n, 1, h, w))
-    labels = np.repeat(np.eye(2), n // 2, axis=0)
+    labels = np.repeat([0, 1], n // 2)
     for k, img in enumerate(images[:, 0]):
         img[...] = rng.uniform(0.0, 0.1, size=(h, w))
         if k < n // 2:

@@ -23,9 +23,12 @@ import numpy as np
 
 from . import network as net_mod
 from .activations import ActivationKind
+from .dataio import one_hot
 from .errors import DomainError
 from .losses import LossKind, loss
 
+# Relative perturbation step of the central differences.
+H_REL = 1e-5
 REL_ERR_FLOOR = 1e-8
 # A central difference of a loss near 1.0 at h ~ 1e-5 carries roundoff
 # around 1e-11, so relative error 1e-6 is unattainable below gradient
@@ -110,22 +113,18 @@ def _decision_pattern(net: net_mod.Network, traces, first: int) -> bytes:
 
 
 def check_network(
-    net: net_mod.Network,
-    sample: tuple[np.ndarray, np.ndarray],
-    threshold: float = 1e-6,
-    h_rel: float = 1e-5,
+    net: net_mod.Network, sample: tuple[np.ndarray, int], threshold: float = 1e-6
 ) -> GradReport:
     """Compare backward() against central differences of the cross-entropy
-    loss for every parameter.
+    loss for every parameter, on one (image, class index) sample.
 
-    Each entry of ``net.params`` is perturbed by h = h_rel * max(1, |theta|)
+    Each entry of ``net.params`` is perturbed by h = H_REL * max(1, |theta|)
     and restored exactly afterwards; the report carries one row per
     ``param_groups`` entry.
     Not safe to run concurrently on one network instance.
     """
-    if not 0 < h_rel <= 1e-3:
-        raise DomainError(f"h_rel must be in (0, 1e-3], got {h_rel}")
-    image, label = sample
+    image, index = sample
+    label = one_hot(index, net.class_count)
 
     def run(first: int) -> tuple[float, bytes]:
         yhat, traces = net_mod.forward(net, image)
@@ -148,7 +147,7 @@ def check_network(
         n_excluded = 0
         for idx in range(group.start, group.stop):
             theta = params[idx]
-            h = h_rel * max(1.0, abs(theta))
+            h = H_REL * max(1.0, abs(theta))
             try:
                 params[idx] = theta + h
                 loss_hi, pat_hi = run(first)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor
 from .activations import ActivationKind, apply, derivative
-from .dataio import Dataset
+from .dataio import Dataset, one_hot
 from .errors import DomainError, ParseError, ShapeError, TruncationError, UnsupportedError
 from .layers import (
     ConvGeometry,
@@ -223,8 +223,9 @@ def _column_major(net: Network) -> Network:
 
 
 def backward(net: Network, traces: list[ForwardTrace], y: np.ndarray) -> np.ndarray:
-    """Gradient of the cross-entropy loss for one sample, using the traces
-    the matching forward call produced, laid out like ``net.params``."""
+    """Gradient of the cross-entropy loss for one sample and its 0/1 target
+    vector ``y``, using the traces the matching forward call produced, laid
+    out like ``net.params``."""
     y = np.asarray(y, dtype=np.float64)
     if len(traces) != 2 + len(net.dense):
         raise ShapeError(f"expected {2 + len(net.dense)} traces, got {len(traces)}")
@@ -300,7 +301,8 @@ def train(
                     idx = order[start : start + cfg.batch_size]
                     fwd = _column_major(net)
                     grads = (
-                        backward(net, forward(fwd, data.images[i])[1], data.labels[i])
+                        backward(net, forward(fwd, data.images[i])[1],
+                                 one_hot(data.labels[i], data.class_count))
                         for i in idx
                     )
                     net = sgd_step(net, _mean_grads(grads), cfg.learning_rate)
@@ -335,8 +337,8 @@ def evaluate(net: Network, data: Dataset) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         for image, label in zip(data.images, data.labels):
             yhat, _ = forward(fwd, image)
-            total += loss(LossKind.CROSS_ENTROPY, yhat, label)
-            if yhat.argmax() == label.argmax():
+            total += loss(LossKind.CROSS_ENTROPY, yhat, one_hot(label, data.class_count))
+            if yhat.argmax() == label:
                 correct += 1
     n = len(data.images)
     if not math.isfinite(total / n):

@@ -19,7 +19,7 @@ import pytest
 from convkit import network as nm
 from convkit.activations import ActivationKind
 from convkit.cli import main
-from convkit.dataio import Dataset, dataset_from_idx, one_hot, synth_bars
+from convkit.dataio import Dataset, dataset_from_idx, synth_bars
 from convkit.errors import DomainError, GeometryError
 from convkit.gradcheck import check_network
 from convkit.layers import (
@@ -57,8 +57,7 @@ def report(name, ok, extra="", status=None):
 
 def random_sample(rng):
     image = rng.uniform(0.0, 1.0, size=(1, 8, 8))
-    label = one_hot(int(rng.integers(0, 2)), 2)
-    return image, label
+    return image, int(rng.integers(0, 2))
 
 
 def test_criterion_1_whole_network_gradient_oracle():

@@ -459,6 +459,19 @@ class TestPredict:
         image = write_pgm(tmp_path, "img.pgm", 12, 12)
         assert main(["predict", model, image]) == 2
 
+    def test_oversized_pgm_refused_before_copying(self, tmp_path, capsys, monkeypatch):
+        # 1000x1000 pixels take 8 MB as float64; the file alone is 1 MB
+        model = zero_model(tmp_path)
+        image = write_pgm(tmp_path, "big.pgm", 1000, 1000)
+        capsys.readouterr()
+        monkeypatch.setattr(tensor, "MAX_BYTES", 100_000)
+        code, peak = traced_main(["predict", model, image])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "PGM image would take 8000000 bytes, more than 100000" in captured.err
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("softmax", [[], ["--softmax"]])
     def test_overflowing_model_is_data_error(self, tmp_path, capsys, softmax):
         huge, _ = overflowing_model(tmp_path)
@@ -601,56 +614,20 @@ class TestIdxSource:
         assert not (tmp_path / "m.csv").exists()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("command", ["train", "gradcheck"])
-    def test_oversized_labels_are_config_error(self, tmp_path, capsys,
-                                               monkeypatch, command):
-        # 12 labels of 100 classes take 9,600 bytes as float64, more than
-        # any other array of the run (the parameters take 8,576)
-        img_path, lbl_path = self.write_idx_pair(tmp_path)
-
-        def config(tag):
-            return write_config(
-                tmp_path, f"{tag}.cfg", drop="dense.widths",
-                extra=f"dense.widths=8,100\ndata.source=idx:{img_path},{lbl_path}",
-                out_model=str(tmp_path / f"{tag}.cnnf"),
-                out_csv=str(tmp_path / f"{tag}.csv"),
-            )
-
-        monkeypatch.setattr(tensor, "MAX_BYTES", 9600)
-        assert main([command, config("at")]) == 0
-        capsys.readouterr()
-        monkeypatch.setattr(tensor, "MAX_BYTES", 9599)
-        code, peak = traced_main([command, config("over")])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "IDX labels would take 9600 bytes, more than 9599" in captured.err
-        assert not (tmp_path / "over.cnnf").exists()
-        assert not (tmp_path / "over.csv").exists()
-        assert peak < 1 << 20
-
-    def test_oversized_labels_for_eval_are_data_error(self, tmp_path, capsys,
-                                                      monkeypatch):
-        # eval takes its 100 classes from the model file; its config holds
-        # no dense.widths
+    def test_labels_take_no_per_class_array(self, tmp_path, capsys, monkeypatch):
+        # 12 labels of 100 classes would take 9,600 bytes as one float64 row
+        # per sample; as class indices they take 96, less than every other
+        # array of the run (the parameters take 8,576)
         img_path, lbl_path = self.write_idx_pair(tmp_path)
         model = str(tmp_path / "wide.cnnf")
-        arch = nm.Architecture(ConvGeometry(8, 8, 1, 3, 3, 2), PoolGeometry(2, 2), (8, 100))
-        nm.save(nm.init(arch, 0), model)
-        cfg = tmp_path / "eval.cfg"
-        cfg.write_text(f"data.source=idx:{img_path},{lbl_path}\n")
-        monkeypatch.setattr(tensor, "MAX_BYTES", 9600)
-        assert main(["eval", model, str(cfg)]) == 0
-        capsys.readouterr()
+        cfg = write_config(
+            tmp_path, "wide.cfg", drop="dense.widths",
+            extra=f"dense.widths=8,100\ndata.source=idx:{img_path},{lbl_path}",
+            out_model=model, out_csv=str(tmp_path / "wide.csv"),
+        )
         monkeypatch.setattr(tensor, "MAX_BYTES", 9599)
-        code, peak = traced_main(["eval", model, str(cfg)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "dense.widths" not in captured.err
-        assert ("model has 100 classes: IDX labels would take 9600 bytes, "
-                "more than 9599") in captured.err
-        assert peak < 1 << 20
+        for argv in (["train", cfg], ["gradcheck", cfg], ["eval", model, cfg]):
+            assert main(argv) == 0, (argv[0], capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_oversized_idx_images_are_data_error(self, tmp_path, capsys,

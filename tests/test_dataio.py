@@ -165,7 +165,7 @@ class TestIdxRoundTrip:
         raws_back = [
             np.round(img[0] * 255.0).astype(np.uint8) for img in ds.images
         ]
-        labels_back = [int(np.argmax(l)) for l in ds.labels]
+        labels_back = ds.labels.tolist()
         again = dataset_from_idx(
             io.BytesIO(write_idx_images(raws_back)),
             io.BytesIO(write_idx_labels(labels_back)),
@@ -177,8 +177,8 @@ class TestIdxRoundTrip:
             assert np.array_equal(a, b)
 
     def test_bit_identical_to_per_sample_oracle(self):
-        # the arrays hold the bits that normalize/one_hot give one sample
-        # at a time
+        # the images hold the bits that normalize gives one sample at a
+        # time, the labels the file's class indices
         rng = np.random.default_rng(51)
         raws = rng.integers(0, 256, size=(7, 5, 3)).astype(np.uint8)
         labels = [int(k) for k in rng.integers(0, 4, size=7)]
@@ -187,15 +187,25 @@ class TestIdxRoundTrip:
             io.BytesIO(write_idx_labels(labels)),
             class_count=4,
         )
-        assert ds.images.shape == (7, 1, 5, 3) and ds.labels.shape == (7, 4)
+        assert ds.images.shape == (7, 1, 5, 3) and ds.labels.shape == (7,)
         assert ds.images.flags.c_contiguous and ds.images.dtype == np.float64
         want_images = np.stack([normalize(r) for r in raws])
-        want_labels = np.stack([one_hot(k, 4) for k in labels])
         assert ds.images.tobytes() == want_images.tobytes()
-        assert ds.labels.tobytes() == want_labels.tobytes()
+        assert ds.labels.tobytes() == np.array(labels, dtype=np.int64).tobytes()
+
+    def test_labels_read_first_and_counts_matched(self):
+        a = np.zeros((2, 2), dtype=np.uint8)
+        images = CountingStream(write_idx_images([a, a]))
+        with pytest.raises(ParseError, match="magic"):
+            dataset_from_idx(images, io.BytesIO(write_idx_images([a])), class_count=2)
+        assert images.bytes_read == 0
+        with pytest.raises(ParseError, match="2 images but 3 labels"):
+            dataset_from_idx(io.BytesIO(write_idx_images([a, a])),
+                             io.BytesIO(write_idx_labels([0, 1, 0])), class_count=2)
 
     def test_byte_limit(self, monkeypatch):
-        # 6 images of 4x4 take 768 bytes as float64; 6 labels of 20 classes 960
+        # 6 images of 4x4 take 768 bytes as float64, their labels 48 as int64
+        # whatever the class count
         raws = [np.zeros((4, 4), dtype=np.uint8)] * 6
         labels = write_idx_labels([0] * 6)
 
@@ -204,17 +214,27 @@ class TestIdxRoundTrip:
                 io.BytesIO(write_idx_images(raws)), io.BytesIO(labels), class_count=20
             )
 
-        monkeypatch.setattr(tensor, "MAX_BYTES", 960)
-        assert load().labels.nbytes == 960
-        monkeypatch.setattr(tensor, "MAX_BYTES", 959)
-        with pytest.raises(ShapeError, match="IDX labels would take 960 bytes"):
-            load()
+        monkeypatch.setattr(tensor, "MAX_BYTES", 768)
+        ds = load()
+        assert ds.images.nbytes == 768 and ds.labels.nbytes == 48
         monkeypatch.setattr(tensor, "MAX_BYTES", 767)
         with pytest.raises(ShapeError, match="IDX images would take 768 bytes"):
             load()
 
 
 class TestPgm:
+    def test_image_bytes_checked_before_copying(self, monkeypatch):
+        # 30x20 pixels take 4,800 bytes as float64
+        blob = b"P5 30 20 255\n" + bytes(600)
+        monkeypatch.setattr(tensor, "MAX_BYTES", 4800)
+        assert load_pgm(io.BytesIO(blob)).shape == (20, 30)
+        monkeypatch.setattr(tensor, "MAX_BYTES", 4799)
+        stream = CountingStream(blob + bytes(10_000))
+        with pytest.raises(ShapeError, match="PGM image would take 4800 bytes, more than 4799"):
+            load_pgm(stream)
+        # no more of the file is read than MAX_BYTES + 1 bytes
+        assert stream.bytes_read == 4800
+
     def test_simple(self):
         img = load_pgm(io.BytesIO(b"P5 2 2 255\n" + bytes([0, 128, 255, 64])))
         assert np.array_equal(img, [[0, 128], [255, 64]])
@@ -291,6 +311,20 @@ class TestOneHot:
         with pytest.raises(DomainError):
             one_hot(4, 4)
 
+    def test_refuses_what_is_not_a_class_index(self):
+        for index, message in ((0.5, "0.5 is not an integer"), (-1, "-1 outside"),
+                               (4, "4 outside"), (np.float64(1.0), "not an integer"),
+                               (np.array([0.0, 1.0]), "not an integer"),
+                               ("1", "not an integer"), (None, "not an integer")):
+            with pytest.raises(DomainError, match=f"class index .*{message}"):
+                one_hot(index, 4)
+
+    def test_accepts_numpy_integers(self):
+        want = one_hot(2, 4)
+        for index in (np.int64(2), np.uint8(2), np.array(2)):
+            got = one_hot(index, 4)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
 
 class TestSynthBars:
     def test_deterministic(self):
@@ -311,11 +345,11 @@ class TestSynthBars:
             else:
                 img[:, int(rng.integers(0, w))] = 1.0
             images.append(img[None])
-            labels.append(one_hot(int(k >= n // 2), 2))
+            labels.append(int(k >= n // 2))
         ds = synth_bars(n, h, w, seed=8)
         assert ds.images.shape == (n, 1, h, w) and ds.images.flags.c_contiguous
         assert ds.images.tobytes() == np.stack(images).tobytes()
-        assert ds.labels.tobytes() == np.stack(labels).tobytes()
+        assert ds.labels.tobytes() == np.array(labels, dtype=np.int64).tobytes()
 
     def test_intensity_structure(self):
         ds = synth_bars(20, 8, 8, seed=6)
@@ -326,10 +360,10 @@ class TestSynthBars:
     def test_class_balance_and_orientation(self):
         n = 16
         ds = synth_bars(n, 6, 6, seed=7)
-        assert sum(int(np.argmax(l)) for l in ds.labels) == n // 2
+        assert ds.labels.sum() == n // 2
         for img, label in zip(ds.images, ds.labels):
             plane = img[0]
-            if np.argmax(label) == 0:
+            if label == 0:
                 assert any(np.all(plane[r, :] == 1.0) for r in range(plane.shape[0]))
             else:
                 assert any(np.all(plane[:, c] == 1.0) for c in range(plane.shape[1]))
@@ -361,24 +395,22 @@ class TestSynthBars:
 
 class TestDatasetInvariants:
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            Dataset(images=[np.zeros((1, 2, 2))], labels=[], class_count=2)
+        with pytest.raises(ShapeError, match="1 images vs 0 labels"):
+            Dataset(images=[np.zeros((1, 2, 2))], labels=np.zeros(0, dtype=np.int64),
+                    class_count=2)
 
-    def test_label_must_be_one_hot(self):
-        with pytest.raises(DomainError):
-            Dataset(
-                images=[np.zeros((1, 2, 2))],
-                labels=[np.array([0.5, 0.5])],
-                class_count=2,
-            )
-        # a bad row after a good one is found too
-        for bad in ([1.0, 1.0], [0.0, 0.0], [np.nan, 1.0], [-1.0, 2.0]):
-            with pytest.raises(DomainError, match="not one-hot"):
-                Dataset(images=np.zeros((2, 1, 2, 2)), labels=[one_hot(0, 2), bad],
+    def test_label_must_be_a_class_index(self):
+        # the first label outside [0, class_count) is named, after good ones too
+        for labels, first in (([0, -1], -1), ([1, 2], 2), ([0, 1, 5, -3], 5)):
+            with pytest.raises(DomainError, match=rf"label {first} outside \[0, 2\)"):
+                Dataset(images=np.zeros((len(labels), 1, 2, 2)), labels=labels,
                         class_count=2)
+        big = np.array([1, 2**64 - 1], dtype=np.uint64)
+        with pytest.raises(DomainError, match=rf"label {2**64 - 1} outside"):
+            Dataset(images=np.zeros((2, 1, 2, 2)), labels=big, class_count=2)
 
     def test_mixed_extents(self):
-        labels = np.eye(2)
+        labels = np.array([0, 1])
         # a list of mixed extents, and inputs that are not (N, 1, H, W)
         for images in (
             [np.zeros((1, 2, 2)), np.zeros((1, 3, 3))],
@@ -395,24 +427,37 @@ class TestDatasetInvariants:
                 Dataset(images=images, labels=labels, class_count=2)
 
     def test_labels_not_n_by_k(self):
+        # labels are (N,) integer class indices: one-hot rows, floats and
+        # anything else that is not such an array are shape errors
         images = np.zeros((2, 1, 2, 2))
-        for labels in ([[1.0, 0.0], [1.0]], np.ones(2), np.eye(2)[:, :, None],
-                       np.eye(3)[:2], None, [one_hot(0, 2), "x"]):
+        for labels in (np.eye(2), np.eye(2, dtype=np.int64), [[1, 0], [0, 1]],
+                       np.array([0.0, 1.0]), [0, 0.5], np.array([True, False]),
+                       np.zeros((2, 1), dtype=np.int64), [[1, 0], [1]], None, 1,
+                       [0, "x"]):
             with pytest.raises(ShapeError):
                 Dataset(images=images, labels=labels, class_count=2)
 
     def test_class_count_below_one(self):
         with pytest.raises(DomainError, match="class_count"):
-            Dataset(images=np.zeros((0, 1, 2, 2)), labels=np.zeros((0, 0)),
+            Dataset(images=np.zeros((0, 1, 2, 2)), labels=np.zeros(0, dtype=np.int64),
                     class_count=0)
 
     def test_stored_as_contiguous_float_arrays(self):
         # array-likes are converted; a strided view becomes a C-contiguous copy
         images = np.zeros((4, 1, 3, 6))[:, :, :, ::2]
-        ds = Dataset(images=images, labels=[one_hot(1, 2)] * 4, class_count=2)
+        labels = np.array([1, 0, 1, 0, 1, 0, 1, 0], dtype=np.int32)[::2]
+        ds = Dataset(images=images, labels=labels, class_count=2)
         assert ds.images.flags.c_contiguous and ds.images.dtype == np.float64
-        assert ds.labels.shape == (4, 2) and ds.labels.dtype == np.float64
         assert ds.images[3].shape == (1, 3, 3)
+        assert ds.labels.flags.c_contiguous and ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [1, 1, 1, 1]
+        ds = Dataset(images=images, labels=[0, 1, 1, 0], class_count=2)
+        assert ds.labels.dtype == np.int64 and ds.labels.shape == (4,)
+
+    def test_empty_labels_accepted(self):
+        ds = Dataset(images=np.zeros((0, 1, 2, 2)), labels=np.zeros(0, dtype=np.int64),
+                     class_count=3)
+        assert ds.labels.shape == (0,) and ds.labels.dtype == np.int64
 
     def test_label_out_of_range_in_idx(self):
         a = np.zeros((2, 2), dtype=np.uint8)

@@ -25,7 +25,7 @@ import pytest
 
 from convkit import network as nm
 from convkit.cli import main
-from convkit.dataio import one_hot, synth_bars
+from convkit.dataio import synth_bars
 from convkit.gradcheck import check_network
 from convkit.layers import ConvGeometry, PoolGeometry
 
@@ -146,15 +146,16 @@ def readme_bars0():
 
 def ten_class():
     image = synth_bars(2, 8, 8, seed=7).images[0]
-    return nm.init(TEN_CLASS_ARCH, 7), (image, one_hot(3, 10))
+    return nm.init(TEN_CLASS_ARCH, 7), (image, 3)
 
 
 class Samples(NamedTuple):
-    """The two fields of a ``Dataset`` that ``train`` and ``evaluate`` read,
+    """The fields of a ``Dataset`` that ``train`` and ``evaluate`` read,
     without its 1-channel check."""
 
     images: np.ndarray
     labels: np.ndarray
+    class_count: int
 
 
 TWO_CHANNEL_ARCH = nm.Architecture(
@@ -167,8 +168,8 @@ def two_channel_trained():
     batches of 8; returns the net, its history and the data."""
     rng = np.random.default_rng(2026)
     images = rng.uniform(0.0, 1.0, size=(24, 2, 8, 8))
-    labels = np.stack([one_hot(i % 3, 3) for i in rng.permutation(24)])
-    data = Samples(images, labels)
+    labels = rng.permutation(24) % 3
+    data = Samples(images, labels, 3)
     cfg = nm.TrainConfig(learning_rate=0.1, epochs=3, batch_size=8, rng_seed=42)
     net, history = nm.train(nm.init(TWO_CHANNEL_ARCH, 42), data, cfg)
     return net, history, data
@@ -197,7 +198,7 @@ def two_channel_sample0():
 def readme_zero_image():
     # Every conv pre-activation is the zero bias: each bias perturbation
     # flips the ReLU decisions between its two runs and is excluded.
-    return nm.init(README_ARCH, 42), (np.zeros((1, 8, 8)), one_hot(0, 2))
+    return nm.init(README_ARCH, 42), (np.zeros((1, 8, 8)), 0)
 
 
 # (group, max_rel_err, mean_rel_err, argmax_coord, n_checked, n_excluded, passed)

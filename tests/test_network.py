@@ -500,7 +500,8 @@ class TestTrain:
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_empty_dataset_rejected(self):
-        data = Dataset(images=np.zeros((0, 1, 8, 8)), labels=np.zeros((0, 2)), class_count=2)
+        data = Dataset(images=np.zeros((0, 1, 8, 8)), labels=np.zeros(0, dtype=np.int64),
+                       class_count=2)
         cfg = nm.TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, rng_seed=0)
         with pytest.raises(DomainError):
             nm.train(fixture_net(20), data, cfg)
@@ -540,7 +541,7 @@ class TestEvaluate:
         single = Dataset(images=data.images[:1], labels=data.labels[:1], class_count=2)
         mean_loss, _ = nm.evaluate(net, single)
         yhat, _ = nm.forward(net, data.images[0])
-        assert mean_loss == loss(LossKind.CROSS_ENTROPY, yhat, data.labels[0])
+        assert mean_loss == loss(LossKind.CROSS_ENTROPY, yhat, one_hot(data.labels[0], 2))
 
     def test_hand_computed_fixture(self):
         # One all-ones 2x2 kernel, pool covering the whole map, and a
@@ -558,7 +559,7 @@ class TestEvaluate:
         faint = np.full((1, 3, 3), 0.1)
         data = Dataset(
             images=[bright, faint, bright, faint],
-            labels=[one_hot(0, 2), one_hot(1, 2), one_hot(0, 2), one_hot(0, 2)],
+            labels=[0, 1, 0, 0],
             class_count=2,
         )
         _, accuracy = nm.evaluate(net, data)
@@ -567,7 +568,25 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         with pytest.raises(DomainError):
             nm.evaluate(fixture_net(22), Dataset(
-                images=np.zeros((0, 1, 8, 8)), labels=np.zeros((0, 2)), class_count=2))
+                images=np.zeros((0, 1, 8, 8)), labels=np.zeros(0, dtype=np.int64),
+                class_count=2))
+
+    def test_targets_built_per_sample(self):
+        # train and evaluate form each sample's 0/1 target row on its own:
+        # a (K, K) table of target rows would take 200 MB at 5,000 classes
+        k = 5000
+        arch = nm.Architecture(ConvGeometry(8, 8, 1, 3, 3, 1), PoolGeometry(2, 2), (k,))
+        net = nm.init(arch, 1)
+        data = Dataset(images=np.zeros((2, 1, 8, 8)), labels=[0, k - 1], class_count=k)
+        cfg = nm.TrainConfig(learning_rate=0.1, epochs=1, batch_size=2, rng_seed=0)
+        tracemalloc.start()
+        try:
+            nm.train(net, data, cfg)
+            nm.evaluate(net, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_overflowing_parameters_raise_without_warnings(self):
         net = fixture_net(23)
@@ -583,7 +602,7 @@ class TestEvaluate:
 def ten_class_28x28(n=30, seed=8):
     rng = np.random.default_rng(seed)
     images = rng.uniform(0.0, 1.0, size=(n, 1, 28, 28))
-    return Dataset(images=images, labels=np.eye(10)[rng.permutation(n) % 10], class_count=10)
+    return Dataset(images=images, labels=rng.permutation(n) % 10, class_count=10)
 
 
 # The README's bars network, and a 10-class MNIST-shaped one.
@@ -618,8 +637,8 @@ class TestColumnMajorForwardCopies:
         total, correct = 0.0, 0
         for image, label in zip(data.images, data.labels):
             yhat, _ = nm.forward(net, image)
-            total += loss(LossKind.CROSS_ENTROPY, yhat, label)
-            correct += int(yhat.argmax() == label.argmax())
+            total += loss(LossKind.CROSS_ENTROPY, yhat, np.eye(data.class_count)[label])
+            correct += int(yhat.argmax() == label)
         n = len(data.images)
         mean_loss, accuracy = nm.evaluate(net, data)
         assert (mean_loss.hex(), accuracy.hex()) == ((total / n).hex(), (correct / n).hex())
