@@ -1,7 +1,7 @@
 """pytest-benchmark cases for the layers, ``tensor.matvec`` over row-major
-and column-major weights, the loss, the sigmoid, the SGD update and a
-whole network's forward and backward at the benchmark's two
-geometries: bars (8x8 input, 6 kernels of 3x3, 2x2 pool, dense 32,2: first
+and column-major weights, the loss, the sigmoid and its derivative, the
+ReLU derivative at the conv maps, the SGD update and a whole network's
+forward and backward at the benchmark's two geometries: bars (8x8 input, 6 kernels of 3x3, 2x2 pool, dense 32,2: first
 dense layer 54 -> 32) and MNIST (28x28 input, 8 kernels of 5x5, 2x2 pool,
 dense 64,10: first dense layer 1152 -> 64). The conv cases also run a
 padded 2-channel bars geometry (8x8x2 input, 6 kernels of 3x3, pad 1),
@@ -23,7 +23,7 @@ import pytest
 
 from convkit import network as nm
 from convkit import tensor
-from convkit.activations import ActivationKind, apply
+from convkit.activations import ActivationKind, apply, derivative
 from convkit.layers import (
     ConvGeometry,
     DenseLayer,
@@ -161,6 +161,20 @@ def output_operands(geometry: str):
 def test_sigmoid_apply(benchmark, geometry):
     z, _, _ = output_operands(geometry)
     benchmark(apply, ActivationKind.SIGMOID, z)
+
+
+@pytest.mark.parametrize("geometry", WIDTHS)
+def test_sigmoid_derivative(benchmark, geometry):
+    z, _, _ = output_operands(geometry)
+    benchmark(derivative, ActivationKind.SIGMOID, z)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_relu_derivative(benchmark, geometry):
+    # at the pre-activation conv maps, which backward differentiates
+    bank, image, _ = operands(GEOMETRIES[geometry])
+    preact, _, _ = conv_forward(image, bank, ActivationKind.RELU)
+    benchmark(derivative, ActivationKind.RELU, preact)
 
 
 @pytest.mark.parametrize("geometry", WIDTHS)

@@ -23,8 +23,11 @@ class ActivationKind(IntEnum):
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # e = exp(-|z|) never overflows: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z)
     # below. min(z, -z) rather than -|z| hands a NaN through with its sign.
+    # The numerator exp(min(z, 0)) is exactly 1.0 for z >= 0 (-0.0 included)
+    # and e itself below, from the same exp of the same input; it is a
+    # cheaper select than np.where(z >= 0, 1.0, e), with the same bits.
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + e)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -65,7 +68,8 @@ def derivative(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
         t = np.tanh(z)
         return 1.0 - t * t
     if kind == ActivationKind.RELU:
-        return np.where(z >= 0, 1.0, 0.0)
+        # The cast gives np.where(z >= 0, 1.0, 0.0)'s bits: 1.0 at +-0, 0.0 at NaN.
+        return (z >= 0).astype(np.float64)
     if kind == ActivationKind.LEAKY_RELU:
         return np.where(z >= 0, 1.0, LEAKY_SLOPE)
     if kind == ActivationKind.SOFTMAX:

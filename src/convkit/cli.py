@@ -15,8 +15,12 @@ error, 3 gradient-check failure. A failing run writes no output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
+import secrets
 import sys
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -203,6 +207,30 @@ def _check_extents(net: net_mod.Network, data: Dataset) -> None:
         )
 
 
+def _write_outputs(outputs: list[tuple[str, Callable[[BinaryIO], object]]]) -> None:
+    """Write each ``(path, write)`` output through ``write`` into a new
+    temporary file beside ``path``, then move all of them into place with
+    ``os.replace``. On any error every temporary file, and every output
+    already moved, is unlinked before the error propagates."""
+    temps: list[str] = []
+    moved: list[str] = []
+    try:
+        for path, write in outputs:
+            head, name = os.path.split(path)
+            tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+            with open(tmp, "xb") as f:
+                temps.append(tmp)
+                write(f)
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
+            moved.append(path)
+    except BaseException:
+        for path in temps + moved:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
+
+
 def cmd_train(config_path: str) -> int:
     cfg = RunConfig.from_file(config_path)
     # Validate every knob before any heavy work.
@@ -217,12 +245,12 @@ def cmd_train(config_path: str) -> int:
     net, data = _network_and_data(cfg)
     net, history = net_mod.train(net, data, train_cfg)
     # All computation succeeded; only now touch the filesystem.
+    lines = ["epoch,mean_loss,accuracy"]
+    lines += [f"{e},{l:.6f},{a:.6f}" for e, l, a in history]
+    csv = ("\n".join(lines) + "\n").encode("utf-8")
     try:
-        net_mod.save(net, model_path)
-        lines = ["epoch,mean_loss,accuracy"]
-        lines += [f"{e},{l:.6f},{a:.6f}" for e, l, a in history]
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
+        _write_outputs([(model_path, lambda f: net_mod.save(net, f)),
+                        (csv_path, lambda f: f.write(csv))])
     except OSError as e:
         raise ConfigError(f"cannot write output: {e}") from e
     final = history[-1]

@@ -43,10 +43,15 @@ class Dataset:
             raise DomainError(f"class_count must be >= 1, got {self.class_count}")
         if self.images.ndim != 4 or self.images.shape[1] != 1:
             raise ShapeError(f"images shape {self.images.shape} is not (N, 1, H, W)")
-        outside = labels[(labels < 0) | (labels >= self.class_count)]
-        if outside.size:
-            raise DomainError(f"label {outside[0]} outside [0, {self.class_count})")
+        check_labels(labels, self.class_count)
         self.labels = np.ascontiguousarray(labels, dtype=np.int64)
+
+
+def check_labels(labels: np.ndarray, class_count: int) -> None:
+    """Raise ``DomainError`` naming the first label outside [0, class_count)."""
+    outside = labels[(labels < 0) | (labels >= class_count)]
+    if outside.size:
+        raise DomainError(f"label {outside[0]} outside [0, {class_count})")
 
 
 def _opened(source: str | BinaryIO) -> ContextManager[BinaryIO]:

@@ -11,7 +11,9 @@ Conventions fixed here once:
   naive nested loop.
 * The kernel gradient ``dK[p, c, u, v]`` is one pairwise ``np.sum`` per
   tap over its h1*w1 products ``grad[p] * Ipad[c, u:u+h1, v:v+w1]``,
-  laid out contiguously in row-major (i, j) order.
+  laid out contiguously in row-major (i, j) order. The bias gradient
+  ``db[p]`` is likewise one pairwise sum over the h1*w1 values of
+  ``grad[p]``, in row-major (i, j) order.
 * Dense weights are (n_out, n_in) with z = W a + b. Both ``W a`` and
   the backward ``W^T delta`` sum in ascending index order (over j and
   over i respectively) with one accumulator per output element, through
@@ -232,7 +234,7 @@ def conv_forward(
     taps = _taps(image, g)
     # order="C" makes each tap's products one contiguous row: numpy would
     # otherwise follow the transposed kernels' layout.
-    kernels = bank.kernels.reshape(d1, -1).T[:, :, None]
+    kernels = bank.kernels.reshape(d1, -1, 1).swapaxes(0, 1)
     products = np.multiply(kernels, taps[:, None, :], order="C")
     preact = tensor.sum_rows(products.reshape(len(taps), -1), initial=0.0)
     preact = preact.reshape(d1, h1, w1) + bank.biases[:, None, None]
@@ -293,7 +295,8 @@ def conv_backward(
     activation derivative already multiplied in). Kernel gradients are
     the cross-correlation of the padded input with ``grad_preact``, each
     element one pairwise sum over its tap's h1*w1 contiguous products;
-    bias gradients are plain sums over each map. Stride must be 1.
+    each bias gradient is one pairwise sum over its map's h1*w1 values in
+    row-major order. Stride must be 1.
     """
     g = bank.geometry
     if g.stride != 1:
@@ -310,7 +313,7 @@ def conv_backward(
     # sum is the pairwise sum a per-tap np.sum computes.
     products = np.multiply(grad_preact.reshape(d1, 1, h1 * w1), taps[None], order="C")
     grad_kernels = products.sum(axis=-1).reshape(bank.kernels.shape)
-    grad_biases = np.sum(grad_preact, axis=(1, 2))
+    grad_biases = np.ascontiguousarray(grad_preact).reshape(d1, -1).sum(axis=1)
     return grad_kernels, grad_biases
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor
 from .activations import ActivationKind, apply, derivative
-from .dataio import Dataset, one_hot
+from .dataio import Dataset, _opened, check_labels
 from .errors import DomainError, ParseError, ShapeError, TruncationError, UnsupportedError
 from .layers import (
     ConvGeometry,
@@ -269,6 +269,20 @@ def _mean_grads(grads: Iterable[np.ndarray]) -> np.ndarray:
     return acc / n
 
 
+def _sample_grads(
+    net: Network, fwd: Network, data: Dataset, idx: np.ndarray, target: np.ndarray
+) -> Iterable[np.ndarray]:
+    """Each sample's gradient in ``idx`` order: forward on ``fwd``, backward
+    on ``net``. ``target`` is an all-zero row that holds each sample's 0/1
+    target vector while its gradient is formed, and is zeroed again after."""
+    for i in idx:
+        label = data.labels[i]
+        target[label] = 1.0
+        grads = backward(net, forward(fwd, data.images[i])[1], target)
+        target[label] = 0.0
+        yield grads
+
+
 def _first_nonfinite_group(net: Network) -> str:
     bad = int(np.flatnonzero(~np.isfinite(net.params))[0])
     return next(name for name, sl, _ in param_groups(net) if sl.start <= bad < sl.stop)
@@ -287,6 +301,10 @@ def train(
     if len(data.images) == 0:
         raise DomainError("cannot train on an empty dataset")
     n = len(data.images)
+    # The labels may have changed since the Dataset checked them; each one
+    # indexes the target row below.
+    check_labels(data.labels, data.class_count)
+    target = np.zeros(data.class_count)
     history: list[EpochStats] = []
     # A diverging run overflows a step before the non-finite guards below
     # stop it; they report the failure, so numpy's warnings would be noise.
@@ -299,12 +317,7 @@ def train(
                 order = rng.permutation(n)
                 for start in range(0, n, cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
-                    fwd = _column_major(net)
-                    grads = (
-                        backward(net, forward(fwd, data.images[i])[1],
-                                 one_hot(data.labels[i], data.class_count))
-                        for i in idx
-                    )
+                    grads = _sample_grads(net, _column_major(net), data, idx, target)
                     net = sgd_step(net, _mean_grads(grads), cfg.learning_rate)
                     if not np.isfinite(net.params).all():
                         raise DomainError(
@@ -330,14 +343,18 @@ def evaluate(net: Network, data: Dataset) -> tuple[float, float]:
     pass overflows."""
     if len(data.images) == 0:
         raise DomainError("cannot evaluate an empty dataset")
+    check_labels(data.labels, data.class_count)
     fwd = _column_major(net)
+    target = np.zeros(data.class_count)  # each sample's 0/1 target in turn
     total = 0.0
     correct = 0
     # The check below reports an overflow, so numpy's warnings would be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for image, label in zip(data.images, data.labels):
             yhat, _ = forward(fwd, image)
-            total += loss(LossKind.CROSS_ENTROPY, yhat, one_hot(label, data.class_count))
+            target[label] = 1.0
+            total += loss(LossKind.CROSS_ENTROPY, yhat, target)
+            target[label] = 0.0
             if yhat.argmax() == label:
                 correct += 1
     n = len(data.images)
@@ -393,19 +410,21 @@ def save(net: Network, sink: str | BinaryIO) -> None:
 
 
 class _Reader:
-    """Sequential reader that names the section a truncation happened in."""
+    """Sequential reader of a binary stream that names the section a
+    truncation happened in. It reads each section as it is taken, so no
+    byte past the last section taken is read."""
 
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    def __init__(self, f: BinaryIO):
+        self.f = f
         self.pos = 0
 
     def take(self, n: int, section: str) -> bytes:
-        if self.pos + n > len(self.blob):
+        chunk = self.f.read(n)
+        if len(chunk) < n:
             raise TruncationError(
                 f"file truncated in section '{section}' "
-                f"(need {n} bytes at offset {self.pos}, have {len(self.blob) - self.pos})"
+                f"(need {n} bytes at offset {self.pos}, have {len(chunk)})"
             )
-        chunk = self.blob[self.pos : self.pos + n]
         self.pos += n
         return chunk
 
@@ -422,13 +441,17 @@ class _Reader:
 
 def load(source: str | BinaryIO) -> Network:
     """Read a model file, raising a distinct ParseError for bad magic,
-    version mismatch, truncation, or inconsistent extents."""
-    if hasattr(source, "read"):
-        blob = source.read()
-    else:
-        with open(source, "rb") as f:
-            blob = f.read()
-    r = _Reader(blob)
+    version mismatch, truncation, trailing bytes or inconsistent extents.
+
+    The header fixes the file's length: 52 bytes, 9 per dense layer and 8
+    per parameter. The parameter bytes are checked with
+    ``tensor.check_bytes`` before any parameter is read, and at most one
+    byte past that length is read."""
+    with _opened(source) as f:
+        return _read_model(_Reader(f))
+
+
+def _read_model(r: _Reader) -> Network:
     magic = r.take(4, "magic")
     if magic != MODEL_MAGIC:
         raise ParseError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}")
@@ -457,6 +480,9 @@ def load(source: str | BinaryIO) -> Network:
             raise ParseError(f"dense[{i}] has non-positive extents {n_in}x{n_out}")
         dense_geom.append((n_in, n_out, kind))
     g = conv
+    n_params = g.n_kernels * (g.in_c * g.k_h * g.k_w + 1)
+    n_params += sum(n_out * (n_in + 1) for n_in, n_out, _ in dense_geom)
+    tensor.check_bytes({"parameters": 8 * n_params})
     kernels = r.f64_array(
         g.n_kernels * g.in_c * g.k_h * g.k_w, "conv kernels"
     ).reshape(g.n_kernels, g.in_c, g.k_h, g.k_w)
@@ -466,8 +492,8 @@ def load(source: str | BinaryIO) -> Network:
         w = r.f64_array(n_in * n_out, f"dense[{i}] weights").reshape(n_out, n_in)
         b = r.f64_array(n_out, f"dense[{i}] biases")
         layers.append(DenseLayer(weights=w, biases=b, activation=kind))
-    if r.pos != len(blob):
-        raise ParseError(f"{len(blob) - r.pos} trailing bytes after parameters")
+    if r.f.read(1):
+        raise ParseError(f"trailing bytes after parameters: the header gives {r.pos} bytes")
     try:
         return Network(
             bank=KernelBank(kernels=kernels, biases=biases, geometry=conv),

@@ -131,6 +131,33 @@ def sigmoid_probe_values():
     return np.concatenate([rng.standard_normal(20_000) * 30.0, special, nans])
 
 
+def relu_probe_values():
+    """Signed zeros, infinities, subnormals, NaNs of both signs with and
+    without a payload, and random values."""
+    tiny = np.finfo(np.float64).tiny
+    special = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+               tiny, -tiny, tiny / 2, -tiny / 2]
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                     0x7FF8000000000123, 0xFFF8000000000456,
+                     0x7FF0000000000001, 0xFFF0000000000001],
+                    dtype=np.uint64).view(np.float64)
+    rng = np.random.default_rng(48)
+    return np.concatenate([special, nans, rng.standard_normal(1002) * 10.0])
+
+
+class TestReluDerivativeBits:
+    @pytest.mark.parametrize("shape", [(-1,), (2, 3, -1)])
+    def test_bit_identical_to_where_select(self, shape):
+        z = relu_probe_values().reshape(shape)
+        got = derivative(ActivationKind.RELU, z)
+        assert got.dtype == np.float64 and got.shape == z.shape
+        assert got.tobytes() == np.where(z >= 0, 1.0, 0.0).tobytes()
+
+    def test_signed_zero_and_nan(self):
+        got = derivative(ActivationKind.RELU, np.array([0.0, -0.0, np.nan, -np.nan]))
+        assert got.tobytes() == np.array([1.0, 1.0, 0.0, 0.0]).tobytes()
+
+
 class TestSigmoidBits:
     @pytest.mark.parametrize("shape", [(-1,), (4, 2, -1)])
     def test_apply_bit_identical_to_split_sign(self, shape):
@@ -144,6 +171,14 @@ class TestSigmoidBits:
         s = split_sign_sigmoid_oracle(z)
         got = derivative(ActivationKind.SIGMOID, z)
         assert got.tobytes() == (s * (1.0 - s)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(-1,), (4, 2, -1)])
+    def test_apply_bit_identical_to_where_select(self, shape):
+        # The earlier numerator np.where(z >= 0, 1.0, e) is the oracle.
+        z = sigmoid_probe_values().reshape(shape)
+        e = np.exp(np.minimum(z, -z))
+        want = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        assert apply(ActivationKind.SIGMOID, z).tobytes() == want.tobytes()
 
     def test_no_overflow_warning(self):
         with np.errstate(over="raise"):

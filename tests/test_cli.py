@@ -156,6 +156,38 @@ class TestTrain:
         assert main(["train", cfg]) == 1
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("csv", ["no/dir/m.csv", "a-dir"])
+    def test_unwritable_csv_leaves_no_model(self, tmp_path, capsys, csv):
+        # "a-dir" is a directory: its CSV is written, then cannot be moved
+        # into place after the model was
+        (tmp_path / "a-dir").mkdir()
+        cfg = write_config(
+            tmp_path, "bad-csv.cfg",
+            out_model=str(tmp_path / "m.cnnf"), out_csv=str(tmp_path / csv),
+        )
+        assert main(["train", cfg]) == 1
+        assert "cannot write output" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "bad-csv.cfg"]
+
+    def test_save_failing_partway_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def failing_save(net, sink):
+            sink.write(b"CNNF")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(nm, "save", failing_save)
+        cfg = train_config(tmp_path)
+        assert main(["train", cfg]) == 1
+        assert "cannot write output" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["train.cfg"]
+
+    def test_outputs_replace_old_files_and_leave_no_temporaries(self, tmp_path):
+        cfg = train_config(tmp_path)
+        (tmp_path / "model-a.cnnf").write_bytes(b"old")
+        assert main(["train", cfg]) == 0
+        assert nm.load(str(tmp_path / "model-a.cnnf")).params.size > 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["metrics-a.csv", "model-a.cnnf", "train.cfg"]
+
     def test_missing_config_file(self, tmp_path):
         assert main(["train", str(tmp_path / "nope.cfg")]) == 1
 
@@ -470,6 +502,19 @@ class TestPredict:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "PGM image would take 8000000 bytes, more than 100000" in captured.err
+        assert peak < 1 << 20
+
+    def test_model_with_long_tail_refused_after_bounded_read(self, tmp_path, capsys):
+        # the header fixes the model's length; the 50 MB tail is never read
+        model = Path(zero_model(tmp_path))
+        with open(model, "ab") as f:
+            f.truncate(model.stat().st_size + 50_000_000)
+        image = write_pgm(tmp_path, "img.pgm", 8, 8)
+        capsys.readouterr()
+        code, peak = traced_main(["predict", str(model), image])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "trailing bytes after parameters" in captured.err
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("softmax", [[], ["--softmax"]])

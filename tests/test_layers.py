@@ -587,6 +587,36 @@ class TestConvBackward:
             got = conv_backward(grad, view, bank)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
+    # (in_h, in_c, k, n_kernels, pad): the bars, MNIST, padded bars and
+    # 2-channel geometries; maps of 6x6, 24x24, 8x8 and 6x6
+    BIAS_GEOMETRIES = [(8, 1, 3, 6, 0), (28, 1, 5, 8, 0), (8, 2, 3, 6, 1), (8, 2, 3, 4, 0)]
+
+    @pytest.mark.parametrize("case", BIAS_GEOMETRIES)
+    def test_bias_gradient_bit_identical_to_axis_sum(self, case):
+        # The earlier np.sum(grad, axis=(1, 2)) is the oracle on C-order maps.
+        in_h, in_c, k, n_kernels, pad = case
+        rng = np.random.default_rng(33)
+        bank = random_bank(rng, in_h, in_h, in_c, k, n_kernels, 1, pad)
+        image = rng.standard_normal((in_c, in_h, in_h))
+        h1 = in_h + 2 * pad - k + 1
+        for _ in range(50):
+            scale = 10.0 ** rng.uniform(-5, 5, size=(n_kernels, 1, 1))
+            grad = rng.standard_normal((n_kernels, h1, h1)) * scale
+            _, gb = conv_backward(grad, image, bank)
+            assert gb.tobytes() == np.sum(grad, axis=(1, 2)).tobytes()
+
+    def test_bias_gradient_of_non_contiguous_grad_is_row_sum(self):
+        # Any layout sums each map's values in row-major order.
+        rng = np.random.default_rng(34)
+        bank = random_bank(rng, 8, 8, 1, 3, 6)
+        image = rng.standard_normal((1, 8, 8))
+        base = rng.standard_normal((6, 6, 6)) * 10.0 ** rng.uniform(-5, 5, size=(6, 6, 6))
+        for view in (np.asfortranarray(base), base.transpose(0, 2, 1),
+                     np.repeat(base, 2, axis=2)[:, :, ::2]):
+            _, gb = conv_backward(view, image, bank)
+            rows = np.ascontiguousarray(view).reshape(6, -1)
+            assert gb.tobytes() == np.array([np.sum(row) for row in rows]).tobytes()
+
     def test_stride_unsupported(self):
         rng = np.random.default_rng(29)
         image = rng.standard_normal((1, 4, 4))

@@ -28,6 +28,7 @@ from convkit.layers import (
     maxpool_forward,
 )
 from convkit.losses import LossKind, loss
+from test_dataio import CountingStream
 
 FIXTURE_ARCH = nm.Architecture(
     conv=ConvGeometry(8, 8, 1, 3, 3, 2),
@@ -528,6 +529,33 @@ class TestTrain:
             nm.train(fixture_net(33), data, cfg)
 
 
+def refuse_forward(*args):
+    raise AssertionError("a sample reached network.forward")
+
+
+@pytest.mark.parametrize("bad", [2, -1, -2])
+class TestLabelsMutatedAfterBuilding:
+    """Each label indexes a reused target row, so a label written into the
+    Dataset after it checked them must be refused, never wrap or raise
+    IndexError."""
+
+    def mutated(self, bad):
+        data = synth_bars(8, 8, 8, seed=1)
+        data.labels[5] = bad
+        return data
+
+    def test_train_refuses(self, bad, monkeypatch):
+        # before its first forward pass, not in the epoch's evaluate
+        monkeypatch.setattr(nm, "forward", refuse_forward)
+        cfg = nm.TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, rng_seed=0)
+        with pytest.raises(DomainError, match=f"label {bad} outside \\[0, 2\\)"):
+            nm.train(fixture_net(35), self.mutated(bad), cfg)
+
+    def test_evaluate_refuses(self, bad):
+        with pytest.raises(DomainError, match=f"label {bad} outside \\[0, 2\\)"):
+            nm.evaluate(fixture_net(35), self.mutated(bad))
+
+
 class TestEvaluate:
     def test_zero_net_on_balanced_data(self):
         # argmax ties resolve to class 0, which is half the labels
@@ -692,6 +720,27 @@ class TestSaveLoad:
         nm.save(net, buf)
         with pytest.raises(ParseError, match="trailing"):
             nm.load(io.BytesIO(buf.getvalue() + b"\x00"))
+
+    def test_reads_one_byte_past_the_model(self):
+        buf = io.BytesIO()
+        nm.save(fixture_net(36), buf)
+        blob = buf.getvalue()
+        stream = CountingStream(blob + bytes(10_000))
+        with pytest.raises(ParseError, match=f"trailing bytes .* gives {len(blob)} bytes"):
+            nm.load(stream)
+        assert stream.bytes_read == len(blob) + 1
+
+    def test_oversized_parameter_claim_refused_before_reading(self):
+        # dense[0] claims 2**31 outputs, 326 GB of parameters: nothing
+        # after the header is read
+        buf = io.BytesIO()
+        nm.save(fixture_net(37), buf)
+        blob = bytearray(buf.getvalue())
+        blob[56:60] = (1 << 31).to_bytes(4, "little")
+        stream = CountingStream(bytes(blob))
+        with pytest.raises(ShapeError, match="parameters would take"):
+            nm.load(stream)
+        assert stream.bytes_read == 52 + 2 * 9
 
     def test_non_relu_conv_activation_refused(self, tmp_path):
         # load() always reads a ReLU conv layer, so saving tanh would
