@@ -7,16 +7,28 @@ dense 64,10: first dense layer 1152 -> 64). The conv cases also run a
 padded 2-channel bars geometry (8x8x2 input, 6 kernels of 3x3, pad 1),
 a path no benchmark workload takes.
 
+``test_check_network`` times the whole gradient oracle on the README
+network and bars sample 0.
+
 Run from the repository root with::
 
     PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
-and add ``--benchmark-json=<file>`` to keep the statistics. The tier-1
-suite does not collect this directory (``testpaths`` is ``tests``), so
-after deleting or renaming any library function run every case once::
+and add ``--benchmark-json=<file>`` to keep the statistics. Raw wall
+times on a shared host move by up to 2x between runs, so each case also
+times a fixed numpy reference loop (``reference_s``) just before and just
+after it, and records in ``extra_info`` the reference time and its own
+median over it (``median_over_reference``). That ratio, not the median,
+compares runs minutes apart. The tier-1 suite does not collect this
+directory (``testpaths`` is ``tests``), so after deleting or renaming any
+library function run every case once; the reference loop is skipped
+then::
 
     PYTHONPATH=src python -m pytest benchmarks --benchmark-disable -q
 """
+
+import statistics
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +36,8 @@ import pytest
 from convkit import network as nm
 from convkit import tensor
 from convkit.activations import ActivationKind, apply, derivative
+from convkit.dataio import synth_bars
+from convkit.gradcheck import check_network
 from convkit.layers import (
     ConvGeometry,
     DenseLayer,
@@ -47,6 +61,43 @@ CONV_GEOMETRIES = {**GEOMETRIES, "bars-2ch-pad1": ConvGeometry(8, 8, 2, 3, 3, 6,
 POOL = PoolGeometry(2, 2)
 DENSE = {"bars": (54, 32), "mnist": (1152, 64)}  # (n_in, n_out)
 WIDTHS = {"bars": (32, 2), "mnist": (64, 10)}
+
+# The reference loop: numpy only, so no change to convkit moves it. It makes
+# the kinds of small-array calls the cases make (a gather, a product, an
+# axis-0 sum, a max and an argmax along rows) at the MNIST conv map's size.
+_REF = np.random.default_rng(5)
+REF_MAP = _REF.standard_normal(8 * 24 * 24)
+REF_TABLE = _REF.integers(0, REF_MAP.size, (25, 576))
+REF_KERNELS = _REF.standard_normal((25, 1))
+
+
+def reference_s(passes: int = 15, reps: int = 20) -> float:
+    """Median seconds of one pass of ``reps`` reference iterations."""
+    times = []
+    for _ in range(passes):
+        start = time.perf_counter()
+        for _ in range(reps):
+            taps = REF_MAP.take(REF_TABLE)
+            sums = np.add.reduce(taps * REF_KERNELS, axis=0)
+            np.maximum(0.0, sums).reshape(-1, 4).argmax(axis=1)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+@pytest.fixture(autouse=True)
+def reference_ratio(request):
+    """Time the reference loop around a timed case and record the case's
+    median over the mean of the two reference times."""
+    bench = request.getfixturevalue("benchmark")
+    if bench.disabled:
+        yield
+        return
+    before = reference_s()
+    yield
+    ref = (before + reference_s()) / 2
+    bench.extra_info["reference_s"] = ref
+    if bench.stats is not None:
+        bench.extra_info["median_over_reference"] = bench.stats.stats.median / ref
 
 
 def operands(g: ConvGeometry):
@@ -187,3 +238,12 @@ def test_cross_entropy_loss(benchmark, geometry):
 def test_ce_grad(benchmark, geometry):
     _, yhat, y = output_operands(geometry)
     benchmark(ce_grad, yhat, y)
+
+
+def test_check_network(benchmark):
+    # the gradcheck workload's op: 3,773 forwards of the README network
+    data = synth_bars(200, 8, 8, seed=42)
+    net = nm.init(nm.Architecture(GEOMETRIES["bars"], POOL, WIDTHS["bars"]), 42)
+    sample = (data.images[0], int(data.labels[0]))
+    report = benchmark(check_network, net, sample)
+    assert report.passed

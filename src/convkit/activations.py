@@ -39,12 +39,13 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def apply(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
     """Apply the activation elementwise (softmax normalizes the whole vector)."""
     z = np.asarray(z, dtype=np.float64)
+    # init builds ReLU and sigmoid layers only, most of them ReLU: test those first.
+    if kind == ActivationKind.RELU:
+        return np.maximum(0.0, z)
     if kind == ActivationKind.SIGMOID:
         return _sigmoid(z)
     if kind == ActivationKind.TANH:
         return np.tanh(z)
-    if kind == ActivationKind.RELU:
-        return np.maximum(0.0, z)
     if kind == ActivationKind.LEAKY_RELU:
         return np.where(z >= 0, z, LEAKY_SLOPE * z)
     if kind == ActivationKind.SOFTMAX:
@@ -61,15 +62,15 @@ def derivative(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
     Softmax has no elementwise derivative; it is inference-only here.
     """
     z = np.asarray(z, dtype=np.float64)
+    if kind == ActivationKind.RELU:
+        # The cast gives np.where(z >= 0, 1.0, 0.0)'s bits: 1.0 at +-0, 0.0 at NaN.
+        return (z >= 0).astype(np.float64)
     if kind == ActivationKind.SIGMOID:
         s = _sigmoid(z)
         return s * (1.0 - s)
     if kind == ActivationKind.TANH:
         t = np.tanh(z)
         return 1.0 - t * t
-    if kind == ActivationKind.RELU:
-        # The cast gives np.where(z >= 0, 1.0, 0.0)'s bits: 1.0 at +-0, 0.0 at NaN.
-        return (z >= 0).astype(np.float64)
     if kind == ActivationKind.LEAKY_RELU:
         return np.where(z >= 0, 1.0, LEAKY_SLOPE)
     if kind == ActivationKind.SOFTMAX:

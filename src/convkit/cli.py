@@ -231,6 +231,20 @@ def _write_outputs(outputs: list[tuple[str, Callable[[BinaryIO], object]]]) -> N
         raise
 
 
+def _check_distinct_outputs(model_path: str, csv_path: str) -> None:
+    """Refuse ``out.model`` and ``out.csv`` naming one file: the CSV would
+    replace the model. Paths that resolve alike name one file, and so do
+    two existing paths to one inode (hard links)."""
+    same = os.path.realpath(model_path) == os.path.realpath(csv_path)
+    if not same:
+        with contextlib.suppress(OSError):
+            same = os.path.samefile(model_path, csv_path)
+    if same:
+        raise ConfigError(
+            f"'out.model' ({model_path}) and 'out.csv' ({csv_path}) name the same file"
+        )
+
+
 def cmd_train(config_path: str) -> int:
     cfg = RunConfig.from_file(config_path)
     # Validate every knob before any heavy work.
@@ -242,6 +256,7 @@ def cmd_train(config_path: str) -> int:
     )
     model_path = cfg.require("out.model")
     csv_path = cfg.require("out.csv")
+    _check_distinct_outputs(model_path, csv_path)
     net, data = _network_and_data(cfg)
     net, history = net_mod.train(net, data, train_cfg)
     # All computation succeeded; only now touch the filesystem.

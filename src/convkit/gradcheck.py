@@ -96,20 +96,27 @@ class GradReport:
         return "\n".join(lines)
 
 
+def _decision_reads(net: net_mod.Network, first: int) -> list[tuple[int, bool]]:
+    """The decisions a forward run makes from trace ``first`` on, as
+    (trace index, is pool) pairs: the pool trace's winners, and the signs
+    of each trace whose activation is piecewise."""
+    kinds = [net.conv_activation, None] + [layer.activation for layer in net.dense]
+    return [(k, kind is None) for k, kind in enumerate(kinds)
+            if k >= first and (kind is None or kind in _PIECEWISE)]
+
+
+def _pattern(traces, reads: list[tuple[int, bool]]) -> bytes:
+    return b"".join([traces[k].winners.tobytes() if pool
+                     else (traces[k].preact >= 0).tobytes() for k, pool in reads])
+
+
 def _decision_pattern(net: net_mod.Network, traces, first: int) -> bytes:
     """Branch decisions of one forward run from trace ``first`` on:
     piecewise-activation signs and flat pool winner positions, as the
     concatenated bytes of their arrays. Every part has a size fixed by the
     network, so two runs made the same decisions exactly when their
     patterns are equal."""
-    kinds = [net.conv_activation, None] + [layer.activation for layer in net.dense]
-    parts = []
-    for kind, trace in zip(kinds[first:], traces[first:]):
-        if trace.winners is not None:
-            parts.append(trace.winners.tobytes())
-        elif kind in _PIECEWISE:
-            parts.append((trace.preact >= 0).tobytes())
-    return b"".join(parts)
+    return _pattern(traces, _decision_reads(net, first))
 
 
 def check_network(
@@ -126,12 +133,12 @@ def check_network(
     image, index = sample
     label = one_hot(index, net.class_count)
 
-    def run(first: int) -> tuple[float, bytes]:
+    def run(reads: list[tuple[int, bool]]) -> tuple[float, bytes]:
         yhat, traces = net_mod.forward(net, image)
         value = loss(LossKind.CROSS_ENTROPY, yhat, label)
         if not math.isfinite(value):
             raise DomainError("loss is not finite")
-        return value, _decision_pattern(net, traces, first)
+        return value, _pattern(traces, reads)
 
     _, traces = net_mod.forward(net, image)
     analytic = net_mod.backward(net, traces, label).tolist()
@@ -141,18 +148,19 @@ def check_network(
     for k, (name, group, shape) in enumerate(net_mod.param_groups(net)):
         # The two conv groups reach every trace; W and b of dense[i]
         # (groups 2 + 2i and 3 + 2i) reach traces 2 + i on.
-        first = 0 if k < 2 else k // 2 + 1
+        reads = _decision_reads(net, 0 if k < 2 else k // 2 + 1)
         errors: list[float] = []
         checked: list[int] = []
         n_excluded = 0
         for idx in range(group.start, group.stop):
-            theta = params[idx]
+            # Python floats give the float64 scalars' IEEE results.
+            theta = float(params[idx])
             h = H_REL * max(1.0, abs(theta))
             try:
                 params[idx] = theta + h
-                loss_hi, pat_hi = run(first)
+                loss_hi, pat_hi = run(reads)
                 params[idx] = theta - h
-                loss_lo, pat_lo = run(first)
+                loss_lo, pat_lo = run(reads)
             finally:
                 params[idx] = theta
             if pat_hi != pat_lo:

@@ -22,17 +22,18 @@ Conventions fixed here once:
   the pooled value is the winner's own bits. The trace keeps each winner
   as one flat C-order position in the input, and backward adds the
   gradients at the winners in pooled row-major order.
-* Conv taps and pool windows are gathered with ``take`` through one kind
-  of index table: the flat positions of a window sliding over a C-order
-  (C, H, W) map, which depend only on the map shape, the window extent
-  and the stride. Each table is built once, kept read-only in a small
-  cache, and never returned: every output is a new array. The gathers
-  replaced strided views without changing any sum order.
+* Conv taps and pool windows are gathered with ``take`` through index
+  tables of one kind: the flat positions of a window sliding over a
+  C-order (C, H, W) map, which depend only on the map shape, the window
+  extent and the stride. The conv reads one row per tap, the pool one row
+  per window. Each table is built once, kept read-only in a small cache,
+  and never returned: every output is a new array. The gathers replaced
+  strided views without changing any sum order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +44,10 @@ from .errors import GeometryError, ShapeError, UnsupportedError
 
 @dataclass(frozen=True)
 class ConvGeometry:
-    """Input extents, kernel extents and sliding parameters of a conv layer."""
+    """Input extents, kernel extents and sliding parameters of a conv layer.
+
+    ``output_dims`` is ``conv_output_dims`` of the geometry, computed once
+    at construction; it is derived, so equality and hashing ignore it."""
 
     in_h: int
     in_w: int
@@ -53,6 +57,7 @@ class ConvGeometry:
     n_kernels: int
     stride: int = 1
     pad: int = 0
+    output_dims: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("in_h", "in_w", "in_c", "k_h", "k_w", "n_kernels", "stride"):
@@ -60,7 +65,8 @@ class ConvGeometry:
                 raise GeometryError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.pad < 0:
             raise GeometryError(f"pad must be >= 0, got {self.pad}")
-        conv_output_dims(self)  # raises if the sliding-window arithmetic breaks
+        # raises if the sliding-window arithmetic breaks
+        object.__setattr__(self, "output_dims", conv_output_dims(self))
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,7 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class ForwardTrace:
     """Per-layer cache consumed by the matching backward pass.
 
@@ -174,34 +180,69 @@ class ForwardTrace:
 
 # Index tables depend only on a map shape and a window, so each is built
 # once and kept read-only. The cache is emptied when it reaches _MAX_TABLES
-# entries, so a run over many geometries cannot grow it without bound.
+# entries, so a run over many geometries cannot grow it without bound. A
+# conv entry is keyed (shape, window, stride) with a tuple window; a pool
+# entry is keyed (shape, window, stride) with an int window.
 _TABLES: dict = {}
 _MAX_TABLES = 64
 
 
+def _cache(key, entry):
+    """Store ``entry`` under ``key``, emptying a full cache first."""
+    if len(_TABLES) >= _MAX_TABLES:
+        _TABLES.clear()
+    _TABLES[key] = entry
+    return entry
+
+
+def _window_parts(shape: tuple[int, int, int], window: tuple[int, int, int],
+                  stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two flat parts of the window positions of extent
+    ``window = (k_c, k_h, k_w)`` sliding over a C-order ``shape = (C, H, W)``
+    map, by ``stride`` over H and W and by k_c over C: entry e = (c, u, v)
+    in ascending order contributes ``per_entry[e]``, output o in row-major
+    (channel block, i, j) order ``per_output[o]``, and their sum is the
+    entry's flat position in the map. Entry 0 and output 0 are both 0."""
+    (n_c, n_h, n_w), (k_c, k_h, k_w) = shape, window
+    c, u, v = np.ogrid[:k_c, :k_h, :k_w]
+    b, i, j = np.ogrid[: n_c - k_c + 1 : k_c, : n_h - k_h + 1 : stride,
+                       : n_w - k_w + 1 : stride]
+    return ((c * n_h + u) * n_w + v).ravel(), ((b * n_h + i) * n_w + j).ravel()
+
+
 def _window_table(shape: tuple[int, int, int], window: tuple[int, int, int],
                   stride: int) -> np.ndarray:
-    """(entries, outputs) flat positions of the windows of extent
-    ``window = (k_c, k_h, k_w)`` sliding over a C-order ``shape = (C, H, W)``
-    map, by ``stride`` over H and W and by k_c over C. Row e is window
-    entry e = (c, u, v) in ascending order; column o is output o in
-    row-major (channel block, i, j) order. One broadcast add of a
-    per-entry and a per-output part, so no temporary is as large as the
+    """(entries, outputs) flat positions of the windows ``_window_parts``
+    describes: row e is window entry e, column o is output o. One
+    broadcast add of the two parts, so no temporary is as large as the
     table."""
     key = (shape, window, stride)
     table = _TABLES.get(key)
     if table is None:
-        (n_c, n_h, n_w), (k_c, k_h, k_w) = shape, window
-        c, u, v = np.ogrid[:k_c, :k_h, :k_w]
-        b, i, j = np.ogrid[: n_c - k_c + 1 : k_c, : n_h - k_h + 1 : stride,
-                           : n_w - k_w + 1 : stride]
-        per_entry = ((c * n_h + u) * n_w + v).reshape(-1, 1)
-        table = per_entry + ((b * n_h + i) * n_w + j).reshape(1, -1)
+        per_entry, per_output = _window_parts(shape, window, stride)
+        table = per_entry[:, None] + per_output
         table.flags.writeable = False
-        if len(_TABLES) >= _MAX_TABLES:
-            _TABLES.clear()
-        _TABLES[key] = table
+        _cache(key, table)
     return table
+
+
+def _pool_windows(shape: tuple[int, int, int], g: PoolGeometry):
+    """The pool's cached entry for a (d1, h1, w1) map: the (outputs, k*k)
+    row table, whose row o holds output o's window positions in row-major
+    (du, dv) order; the per-entry and per-output parts it is the sum of;
+    and the pooled shape (d2, h2, w2). Raises for a window the map cannot
+    hold, and caches nothing then."""
+    key = (shape, g.window, g.stride)
+    entry = _TABLES.get(key)
+    if entry is None:
+        d1, h1, w1 = shape
+        h2, w2, d2 = pool_output_dims(h1, w1, d1, g)
+        per_entry, per_output = _window_parts(shape, (1, g.window, g.window), g.stride)
+        rows = per_output[:, None] + per_entry
+        for part in (rows, per_entry, per_output):
+            part.flags.writeable = False
+        entry = _cache(key, (rows, per_entry, per_output, (d2, h2, w2)))
+    return entry
 
 
 def _taps(image: np.ndarray, g: ConvGeometry) -> np.ndarray:
@@ -230,16 +271,17 @@ def conv_forward(
     g = bank.geometry
     if image.shape != (g.in_c, g.in_h, g.in_w):
         raise ShapeError(f"image shape {image.shape} != {(g.in_c, g.in_h, g.in_w)}")
-    h1, w1, d1 = conv_output_dims(g)
+    h1, w1, d1 = g.output_dims
     taps = _taps(image, g)
     # order="C" makes each tap's products one contiguous row: numpy would
     # otherwise follow the transposed kernels' layout.
     kernels = bank.kernels.reshape(d1, -1, 1).swapaxes(0, 1)
     products = np.multiply(kernels, taps[:, None, :], order="C")
     preact = tensor.sum_rows(products.reshape(len(taps), -1), initial=0.0)
-    preact = preact.reshape(d1, h1, w1) + bank.biases[:, None, None]
+    preact = preact.reshape(d1, h1, w1)
+    preact += bank.biases[:, None, None]  # in place: sum_rows returns a new array
     act = apply(activation, preact)
-    return preact, act, ForwardTrace(input=image, preact=preact)
+    return preact, act, ForwardTrace(image, preact)
 
 
 def maxpool_forward(
@@ -247,24 +289,21 @@ def maxpool_forward(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Keep the maximum of each window, remembering where it came from.
 
-    One ``take`` through a table cached per geometry gathers the k*k
-    window planes of the C-order input, stacked in row-major (du, dv)
-    order so argmax's first-maximum rule is exactly the tie-break
-    contract. The winners are the table's entries at the argmax: a table
-    entry is a per-entry part (column 0) plus a per-output part (row 0),
-    and ``table[0, 0] == 0``.
+    One ``take`` through the row table cached per geometry gathers each
+    output's window as one contiguous row of the C-order input, in
+    row-major (du, dv) order, so argmax's first-maximum rule along the
+    row is exactly the tie-break contract. A winner is the cached
+    per-entry part at the argmax plus the output's per-output part.
     """
     act = np.asarray(act, dtype=np.float64)
     if act.ndim != 3:
         raise ShapeError(f"maxpool expects rank 3, got rank {act.ndim}")
-    d1, h1, w1 = act.shape
-    h2, w2, d2 = pool_output_dims(h1, w1, d1, g)
-    table = _window_table(act.shape, (1, g.window, g.window), g.stride)
-    sel = act.take(table).argmax(axis=0)
-    winners = (table[:, 0].take(sel) + table[0]).reshape(d2, h2, w2)
+    rows, per_entry, per_output, pooled_shape = _pool_windows(act.shape, g)
+    sel = act.take(rows).argmax(axis=1)
+    winners = (per_entry.take(sel) + per_output).reshape(pooled_shape)
     # Gather the winners themselves (not a max, which may return the
     # other zero of a -0.0/0.0 tie or a different NaN).
-    return act.take(winners), ForwardTrace(input=act, winners=winners)
+    return act.take(winners), ForwardTrace(act, None, winners)
 
 
 def maxpool_backward(grad_pooled: np.ndarray, trace: ForwardTrace) -> np.ndarray:
@@ -305,7 +344,7 @@ def conv_backward(
     grad_preact = np.asarray(grad_preact, dtype=np.float64)
     if image.shape != (g.in_c, g.in_h, g.in_w):
         raise ShapeError(f"image shape {image.shape} != {(g.in_c, g.in_h, g.in_w)}")
-    h1, w1, d1 = conv_output_dims(g)
+    h1, w1, d1 = g.output_dims
     if grad_preact.shape != (d1, h1, w1):
         raise ShapeError(f"grad shape {grad_preact.shape} != {(d1, h1, w1)}")
     taps = _taps(image, g)
@@ -324,9 +363,10 @@ def dense_forward(
     a_prev = np.asarray(a_prev, dtype=np.float64)
     if a_prev.ndim != 1 or a_prev.shape[0] != layer.n_in:
         raise ShapeError(f"input shape {a_prev.shape} != ({layer.n_in},)")
-    z = tensor.matvec(layer.weights, a_prev) + layer.biases
+    z = tensor.matvec(layer.weights, a_prev)
+    z += layer.biases  # in place: matvec returns a new array
     a = apply(layer.activation, z)
-    return z, a, ForwardTrace(input=a_prev, preact=z)
+    return z, a, ForwardTrace(a_prev, z)
 
 
 def dense_backward(

@@ -29,7 +29,6 @@ from .layers import (
     PoolGeometry,
     conv_backward,
     conv_forward,
-    conv_output_dims,
     dense_backward,
     dense_forward,
     maxpool_backward,
@@ -51,7 +50,7 @@ class Architecture:
     dense_widths: tuple[int, ...]
 
     def flat_length(self) -> int:
-        h1, w1, d1 = conv_output_dims(self.conv)
+        h1, w1, d1 = self.conv.output_dims
         h2, w2, d2 = pool_output_dims(h1, w1, d1, self.pool)
         return h2 * w2 * d2
 
@@ -63,7 +62,7 @@ class Architecture:
         bound their int64 window table. A large pad grows the conv arrays
         without adding a parameter, so each is counted."""
         g, flat = self.conv, self.flat_length()
-        h1, w1, d1 = conv_output_dims(g)
+        h1, w1, d1 = g.output_dims
         n_taps = g.in_c * g.k_h * g.k_w
         n_params, n_in = d1 * (n_taps + 1), flat
         for width in self.dense_widths:

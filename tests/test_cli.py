@@ -188,6 +188,43 @@ class TestTrain:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["metrics-a.csv", "model-a.cnnf", "train.cfg"]
 
+    @pytest.mark.parametrize("link", ["same", "dotdot", "symlink", "hardlink"])
+    def test_one_file_for_both_outputs_refused(self, tmp_path, capsys, monkeypatch, link):
+        # the CSV would replace the model; refused before any data is read
+        (tmp_path / "d").mkdir()
+        model, csv = tmp_path / "out.bin", tmp_path / "out.bin"
+        if link == "dotdot":
+            csv = tmp_path / "d" / ".." / "out.bin"
+        elif link == "symlink":
+            csv = tmp_path / "d" / "link.csv"
+            csv.symlink_to(model)
+        elif link == "hardlink":
+            model.write_bytes(b"old")
+            csv = tmp_path / "d" / "hard.csv"
+            csv.hardlink_to(model)
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+
+        def no_data(cfg):
+            raise AssertionError("data read before the outputs were checked")
+
+        monkeypatch.setattr(cli, "_network_and_data", no_data)
+        cfg = write_config(tmp_path, "same.cfg", out_model=str(model), out_csv=str(csv))
+        assert main(["train", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "'out.model'" in err and "'out.csv'" in err and "same file" in err
+        after = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        assert after == sorted(before + [Path("same.cfg")])
+        if link == "hardlink":
+            assert model.read_bytes() == b"old"
+
+    def test_distinct_outputs_in_one_directory_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, "two.cfg", out_model=str(tmp_path / "out.bin"),
+                           out_csv=str(tmp_path / "d" / ".." / "out.csv"))
+        (tmp_path / "d").mkdir()
+        assert main(["train", cfg]) == 0
+        assert nm.load(str(tmp_path / "out.bin")).params.size > 0
+        assert (tmp_path / "out.csv").read_text().startswith("epoch,mean_loss,accuracy\n")
+
     def test_missing_config_file(self, tmp_path):
         assert main(["train", str(tmp_path / "nope.cfg")]) == 1
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,28 @@ def sliding_window_count(extent, k, stride, pad):
     return count
 
 
+def cached_arrays():
+    """Every array the layer cache holds: the conv tables, and each pool
+    entry's row table and its two parts."""
+    arrays = []
+    for entry in layers._TABLES.values():
+        arrays += [entry] if isinstance(entry, np.ndarray) else entry[:3]
+    return arrays
+
+
+def axis0_maxpool_oracle(act, window, stride):
+    """The earlier maxpool_forward, which gathers the k*k window planes
+    through the (entries, outputs) table and takes the argmax across them
+    (axis 0); kept as a bit-level oracle for the row gather."""
+    act = np.asarray(act, dtype=np.float64)
+    d1, h1, w1 = act.shape
+    h2, w2, d2 = pool_output_dims(h1, w1, d1, PoolGeometry(window, stride))
+    table = layers._window_table(act.shape, (1, window, window), stride)
+    sel = act.take(table).argmax(axis=0)
+    winners = (table[:, 0].take(sel) + table[0]).reshape(d2, h2, w2)
+    return act.take(winners), winners
+
+
 def random_bank(rng, in_h, in_w, in_c, k, n_kernels, stride=1, pad=0):
     g = ConvGeometry(in_h, in_w, in_c, k, k, n_kernels, stride, pad)
     return KernelBank(
@@ -244,6 +267,15 @@ class TestDims:
     def test_pool_non_integral_rejected(self):
         with pytest.raises(GeometryError):
             pool_output_dims(5, 5, 1, PoolGeometry(2, 2))
+
+    def test_output_dims_kept_once_and_not_compared(self):
+        g = ConvGeometry(8, 8, 2, 3, 3, 6, 1, 1)
+        assert g.output_dims == conv_output_dims(g) == (8, 8, 6)
+        assert replace(g, pad=0).output_dims == (6, 6, 6)
+        same = ConvGeometry(8, 8, 2, 3, 3, 6, 1, 1)
+        object.__setattr__(same, "output_dims", (0, 0, 0))
+        assert same == g and hash(same) == hash(g)
+        assert "output_dims" not in repr(g)
 
     def test_dims_match_window_enumeration(self):
         rng = np.random.default_rng(20)
@@ -446,8 +478,8 @@ class TestGatherTables:
         outputs = run()
         want = [a.copy() for a in outputs]
         assert ((2, 8, 10), (2, 3, 3), 1) in layers._TABLES  # the padded conv input
-        assert (outputs[1].shape, (1, 2, 2), 2) in layers._TABLES  # the conv map
-        tables = list(layers._TABLES.values())
+        assert (outputs[1].shape, 2, 2) in layers._TABLES  # the pool entry of the conv map
+        tables = cached_arrays()
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -459,11 +491,36 @@ class TestGatherTables:
             assert got.tobytes() == expect.tobytes()
 
     def test_cache_stays_bounded(self):
+        # conv tables and pool entries share the one bound
         for n in range(1, 2 * layers._MAX_TABLES):
             g = ConvGeometry(n + 2, 3, 1, 3, 3, 1)
             _taps(np.zeros((1, n + 2, 3)), g)
             assert ((1, n + 2, 3), (1, 3, 3), 1) in layers._TABLES
             assert len(layers._TABLES) <= layers._MAX_TABLES
+            maxpool_forward(np.zeros((1, 2 * n, 2)), PoolGeometry(2, 2))
+            assert ((1, 2 * n, 2), 2, 2) in layers._TABLES
+            assert len(layers._TABLES) <= layers._MAX_TABLES
+
+    def test_refused_pool_geometry_caches_nothing(self, monkeypatch):
+        monkeypatch.setattr(layers, "_TABLES", {})
+        for _ in range(2):
+            with pytest.raises(GeometryError):
+                maxpool_forward(np.zeros((1, 5, 5)), PoolGeometry(2, 2))
+        assert layers._TABLES == {}
+
+    def test_pool_entry_is_rows_and_parts(self, monkeypatch):
+        # maxpool_forward reads a winner as per_entry[sel] + per_output
+        monkeypatch.setattr(layers, "_TABLES", {})
+        for shape, g in (((6, 6, 6), PoolGeometry(2, 2)), ((2, 9, 7), PoolGeometry(3, 2)),
+                         ((3, 5, 5), PoolGeometry(3, 1))):
+            rows, per_entry, per_output, pooled_shape = layers._pool_windows(shape, g)
+            table = layers._window_table(shape, (1, g.window, g.window), g.stride)
+            assert np.array_equal(rows, table.T) and rows.flags.c_contiguous
+            assert np.array_equal(rows, per_output[:, None] + per_entry)
+            d1, h1, w1 = shape
+            h2, w2, d2 = pool_output_dims(h1, w1, d1, g)
+            assert pooled_shape == (d2, h2, w2)
+            assert rows.shape == (d2 * h2 * w2, g.window**2)
 
     @staticmethod
     def build_peak(monkeypatch, builder, *args):
@@ -759,6 +816,84 @@ class TestMaxPoolPlaneLoopOracle:
             before = act.copy()
             self.check(act, window, stride)
             assert act.tobytes() == before.tobytes()
+
+
+class TestMaxPoolAxis0Oracle:
+    """maxpool_forward against the axis-0 gather it replaced, on maps full
+    of the values a tie-break can see: equal pooled bytes and equal
+    winners, dtype included."""
+
+    GEOMETRIES = [
+        pytest.param((6, 6, 6), 2, 2, id="bars"),
+        pytest.param((8, 24, 24), 2, 2, id="mnist"),
+        pytest.param((3, 8, 8), 2, 2, id="two-channel-net"),
+        pytest.param((2, 7, 7), 3, 1, id="window3-stride1"),
+        pytest.param((2, 9, 9), 3, 2, id="window3-stride2"),
+    ]
+    VALUES = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan, 0.5])
+
+    @staticmethod
+    def check(act, window, stride):
+        pooled, trace = maxpool_forward(act, PoolGeometry(window, stride))
+        want_pooled, want_winners = axis0_maxpool_oracle(act, window, stride)
+        assert pooled.shape == want_pooled.shape
+        assert pooled.tobytes() == want_pooled.tobytes()
+        got = trace.winners
+        assert got.dtype == want_winners.dtype and got.shape == want_winners.shape
+        assert np.array_equal(got, want_winners)
+
+    @pytest.mark.parametrize("shape, window, stride", GEOMETRIES)
+    def test_special_values(self, shape, window, stride):
+        rng = np.random.default_rng(65)
+        for weights in ([1, 1, 0, 0, 0, 0, 0, 0, 0], [2, 2, 1, 1, 1, 1, 1, 1, 1],
+                        [1, 1, 1, 1, 1, 1, 1, 1, 1], [3, 3, 1, 1, 1, 1, 0, 0, 1]):
+            act = rng.choice(self.VALUES, size=shape, p=np.divide(weights, sum(weights)))
+            self.check(act, window, stride)
+
+    @pytest.mark.parametrize("shape, window, stride", GEOMETRIES)
+    def test_signed_zero_ties_both_ways(self, shape, window, stride):
+        # every window holds only zeros: the first one's sign must win
+        rng = np.random.default_rng(66)
+        act = rng.choice(np.array([0.0, -0.0]), size=shape)
+        self.check(act, window, stride)
+        pooled, _ = maxpool_forward(act, PoolGeometry(window, stride))
+        assert np.signbit(pooled).any() and not np.signbit(pooled).all()
+
+    @pytest.mark.parametrize("shape, window, stride", GEOMETRIES)
+    def test_all_equal_windows(self, shape, window, stride):
+        for value in (2.5, -0.0, np.inf, -np.inf, np.nan, -np.nan):
+            act = np.full(shape, value)
+            self.check(act, window, stride)
+            _, trace = maxpool_forward(act, PoolGeometry(window, stride))
+            d1, h1, w1 = shape
+            i = np.arange(trace.winners.shape[1])[:, None] * stride
+            j = np.arange(trace.winners.shape[2]) * stride
+            first = (np.arange(d1)[:, None, None] * h1 + i) * w1 + j
+            assert np.array_equal(trace.winners, first)  # each window's first entry
+
+    @pytest.mark.parametrize("shape, window, stride", GEOMETRIES)
+    def test_nans_of_both_signs_and_infinities(self, shape, window, stride):
+        rng = np.random.default_rng(67)
+        act = rng.standard_normal(shape)
+        for value, frac in ((np.nan, 0.1), (-np.nan, 0.1), (np.inf, 0.05), (-np.inf, 0.05)):
+            act[rng.random(shape) < frac] = value
+        self.check(act, window, stride)
+
+    def test_geometries_sharing_a_map_shape(self):
+        # each (window, stride) over one map shape reads its own entry
+        act = np.random.default_rng(69).choice(self.VALUES, size=(2, 9, 9))
+        for _ in range(2):
+            for window, stride in ((3, 2), (3, 3), (3, 1), (1, 2), (1, 1), (9, 1), (5, 4)):
+                self.check(act, window, stride)
+
+    @pytest.mark.parametrize("shape, window, stride", GEOMETRIES)
+    def test_cached_entry_serves_repeat_calls(self, shape, window, stride):
+        # the second call reads the entry the first one cached
+        rng = np.random.default_rng(68)
+        for _ in range(3):
+            act = rng.choice(self.VALUES, size=shape)
+            self.check(act, window, stride)
+
 
 class TestMaxPoolBackward:
     def test_routes_to_winner(self):
