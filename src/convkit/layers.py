@@ -14,6 +14,10 @@ Conventions fixed here once:
   laid out contiguously in row-major (i, j) order. The bias gradient
   ``db[p]`` is likewise one pairwise sum over the h1*w1 values of
   ``grad[p]``, in row-major (i, j) order.
+* Both conv passes form their products one kernel group at a time: as
+  many kernels as fit ``tensor.SLAB_BYTES``, at least one. A group only
+  decides which kernels' products are in memory together, never the
+  order of a sum; a bank that fits one group is summed in one pass.
 * Dense weights are (n_out, n_in) with z = W a + b. Both ``W a`` and
   the backward ``W^T delta`` sum in ascending index order (over j and
   over i respectively) with one accumulator per output element, through
@@ -254,15 +258,41 @@ def _taps(image: np.ndarray, g: ConvGeometry) -> np.ndarray:
     return image.take(_window_table(image.shape, (g.in_c, g.k_h, g.k_w), g.stride))
 
 
+def _kernel_group(taps: np.ndarray) -> int:
+    """Kernels whose products fit ``tensor.SLAB_BYTES``, at least one. A
+    kernel's products, forward or backward, are one product per tap
+    entry, so they take ``taps.nbytes``."""
+    return max(1, tensor.SLAB_BYTES // taps.nbytes)
+
+
+def _tap_sums(kernels: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Flat (g*h1*w1,) sums over the taps of (taps, g, 1) kernel columns
+    times (taps, h1*w1) taps: one C-order row of products per tap, in
+    ascending (c, u, v) order, added by ``tensor.sum_rows`` from +0.0."""
+    # order="C" makes each tap's products one contiguous row: numpy would
+    # otherwise follow the transposed kernels' layout.
+    products = np.multiply(kernels, taps[:, None, :], order="C")
+    return tensor.sum_rows(products.reshape(len(taps), -1), initial=0.0)
+
+
+def _window_sums(grad: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """(g, taps) sums of (g, 1, h1*w1) gradient maps times (taps, h1*w1)
+    taps: one pairwise sum per (kernel, tap) over its products."""
+    # order="C" lays each tap's h1*w1 products out contiguously, so each
+    # sum is the pairwise sum a per-tap np.sum computes.
+    return np.multiply(grad, taps[None], order="C").sum(axis=-1)
+
+
 def conv_forward(
     image: np.ndarray, bank: KernelBank, activation: ActivationKind
 ) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
     """Slide the kernel bank over the (channels, H, W) image.
 
     ``_taps`` gathers each tap's inputs through a table cached per
-    geometry. Each tap's products for the whole bank are one C-order row
-    of a (taps, d1*h1*w1) tensor, taps in ascending (c, u, v) order;
-    ``tensor.sum_rows`` adds the rows from +0.0, then the biases are added.
+    geometry. For each kernel group (``_kernel_group``), each tap's
+    products are one C-order row of a (taps, g*h1*w1) tensor, taps in
+    ascending (c, u, v) order; ``tensor.sum_rows`` adds the rows from
+    +0.0, then the biases are added.
 
     Returns the pre-activation feature maps, the activated maps, and the
     trace caching the input image and pre-activation.
@@ -273,11 +303,13 @@ def conv_forward(
         raise ShapeError(f"image shape {image.shape} != {(g.in_c, g.in_h, g.in_w)}")
     h1, w1, d1 = g.output_dims
     taps = _taps(image, g)
-    # order="C" makes each tap's products one contiguous row: numpy would
-    # otherwise follow the transposed kernels' layout.
     kernels = bank.kernels.reshape(d1, -1, 1).swapaxes(0, 1)
-    products = np.multiply(kernels, taps[:, None, :], order="C")
-    preact = tensor.sum_rows(products.reshape(len(taps), -1), initial=0.0)
+    if d1 * taps.nbytes <= tensor.SLAB_BYTES:  # one group: one pass, no copy
+        preact = _tap_sums(kernels, taps)
+    else:
+        group = _kernel_group(taps)
+        preact = np.concatenate([_tap_sums(kernels[:, k : k + group], taps)
+                                 for k in range(0, d1, group)])
     preact = preact.reshape(d1, h1, w1)
     preact += bank.biases[:, None, None]  # in place: sum_rows returns a new array
     act = apply(activation, preact)
@@ -333,9 +365,10 @@ def conv_backward(
     ``grad_preact`` is the loss gradient at the pre-activation maps (the
     activation derivative already multiplied in). Kernel gradients are
     the cross-correlation of the padded input with ``grad_preact``, each
-    element one pairwise sum over its tap's h1*w1 contiguous products;
-    each bias gradient is one pairwise sum over its map's h1*w1 values in
-    row-major order. Stride must be 1.
+    element one pairwise sum over its tap's h1*w1 contiguous products,
+    formed one kernel group (``_kernel_group``) at a time; each bias
+    gradient is one pairwise sum over its map's h1*w1 values in row-major
+    order. Stride must be 1.
     """
     g = bank.geometry
     if g.stride != 1:
@@ -348,10 +381,14 @@ def conv_backward(
     if grad_preact.shape != (d1, h1, w1):
         raise ShapeError(f"grad shape {grad_preact.shape} != {(d1, h1, w1)}")
     taps = _taps(image, g)
-    # order="C" lays each tap's h1*w1 products out contiguously, so each
-    # sum is the pairwise sum a per-tap np.sum computes.
-    products = np.multiply(grad_preact.reshape(d1, 1, h1 * w1), taps[None], order="C")
-    grad_kernels = products.sum(axis=-1).reshape(bank.kernels.shape)
+    grad = grad_preact.reshape(d1, 1, h1 * w1)
+    if d1 * taps.nbytes <= tensor.SLAB_BYTES:  # one group: one pass, no copy
+        grad_kernels = _window_sums(grad, taps)
+    else:
+        group = _kernel_group(taps)
+        grad_kernels = np.concatenate([_window_sums(grad[k : k + group], taps)
+                                       for k in range(0, d1, group)])
+    grad_kernels = grad_kernels.reshape(bank.kernels.shape)
     grad_biases = np.ascontiguousarray(grad_preact).reshape(d1, -1).sum(axis=1)
     return grad_kernels, grad_biases
 

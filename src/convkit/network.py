@@ -57,10 +57,12 @@ class Architecture:
     def array_bytes(self) -> dict[str, int]:
         """Bytes of each float64 array whose size the architecture fixes,
         for ``tensor.check_bytes``. The parameters bound the dense
-        products, which form at weight size. One sample's conv products
-        bound its taps and its int64 tap table; the pool window planes
-        bound their int64 window table. A large pad grows the conv arrays
-        without adding a parameter, so each is counted."""
+        products, which form at weight size. "conv products" is the whole
+        bank's products for one sample, which a conv call forms one kernel
+        group (``tensor.SLAB_BYTES``) at a time; they bound its taps and
+        its int64 tap table. The pool window planes bound their int64
+        window table. A large pad grows the conv arrays without adding a
+        parameter, so each is counted."""
         g, flat = self.conv, self.flat_length()
         h1, w1, d1 = g.output_dims
         n_taps = g.in_c * g.k_h * g.k_w

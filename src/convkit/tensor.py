@@ -25,6 +25,12 @@ from .errors import ShapeError
 # 60,000-image MNIST set (376 MB of float64) still fits.
 MAX_BYTES = 1 << 30
 
+# A working-set target, not a refusal bound: the most bytes of products a
+# layer should form at a time, so that they stay in a core's L2 cache with
+# their operands. The conv layer forms its products one kernel group at a
+# time, each group as many kernels as fit, and at least one.
+SLAB_BYTES = 1 << 17
+
 
 def check_bytes(arrays: dict[str, int]) -> None:
     """Raise ``ShapeError`` naming the first array whose size in bytes,

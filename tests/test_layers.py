@@ -229,6 +229,31 @@ def axis0_maxpool_oracle(act, window, stride):
     return act.take(winners), winners
 
 
+def one_slab_conv_forward_oracle(image, bank):
+    """The earlier conv_forward pre-activation, which forms the whole
+    bank's (taps, d1*h1*w1) products at once; kept as a bit-level oracle
+    for the kernel groups."""
+    g = bank.geometry
+    h1, w1, d1 = g.output_dims
+    taps = _taps(np.ascontiguousarray(image, dtype=np.float64), g)
+    kernels = bank.kernels.reshape(d1, -1, 1).swapaxes(0, 1)
+    products = np.multiply(kernels, taps[:, None, :], order="C")
+    preact = tensor.sum_rows(products.reshape(len(taps), -1), initial=0.0)
+    return preact.reshape(d1, h1, w1) + bank.biases[:, None, None]
+
+
+def one_slab_conv_backward_oracle(grad, image, bank):
+    """The earlier conv_backward, which forms the whole bank's
+    (d1, taps, h1*w1) products at once; kept as a bit-level oracle for the
+    kernel groups."""
+    g = bank.geometry
+    h1, w1, d1 = g.output_dims
+    taps = _taps(np.ascontiguousarray(image, dtype=np.float64), g)
+    products = np.multiply(grad.reshape(d1, 1, h1 * w1), taps[None], order="C")
+    grad_kernels = products.sum(axis=-1).reshape(bank.kernels.shape)
+    return grad_kernels, np.ascontiguousarray(grad).reshape(d1, -1).sum(axis=1)
+
+
 def random_bank(rng, in_h, in_w, in_c, k, n_kernels, stride=1, pad=0):
     g = ConvGeometry(in_h, in_w, in_c, k, k, n_kernels, stride, pad)
     return KernelBank(
@@ -714,6 +739,181 @@ class TestConvBackward:
                                         * grad[p, i, j]
                             alt[p, c, u, v] = acc
             assert np.max(np.abs(gk - alt)) <= 1e-12
+
+
+class TestConvKernelGroups:
+    """conv_forward and conv_backward form their products one kernel group
+    of at most ``tensor.SLAB_BYTES`` at a time. Against the whole-bank
+    passes they replaced and the loop oracles, with the budget lowered so
+    that groups of one and of two kernels and a ragged last group occur:
+    equal bytes, dtype included."""
+
+    GEOMETRIES = [
+        pytest.param(ConvGeometry(8, 8, 1, 3, 3, 6), id="bars"),
+        pytest.param(ConvGeometry(8, 8, 2, 3, 3, 5, pad=1), id="2ch-pad1"),
+        pytest.param(ConvGeometry(9, 9, 2, 3, 3, 5, stride=2), id="stride2"),
+        pytest.param(ConvGeometry(5, 5, 1, 5, 5, 5), id="thin-1x1"),
+        pytest.param(ConvGeometry(4, 4, 3, 4, 4, 5), id="thin-1x1-3ch"),
+    ]
+    # kernels per group; every geometry above has 5 or 6 kernels, so 4
+    # leaves a ragged last group on each
+    GROUPS = [1, 2, 4]
+
+    @staticmethod
+    def kernel_bytes(g):
+        h1, w1, _ = g.output_dims
+        return 8 * g.in_c * g.k_h * g.k_w * h1 * w1
+
+    @classmethod
+    def lower_budget(cls, monkeypatch, g, group):
+        # the largest budget that still holds `group` kernels, and no more
+        monkeypatch.setattr(tensor, "SLAB_BYTES", (group + 1) * cls.kernel_bytes(g) - 1)
+
+    @staticmethod
+    def spy_groups(monkeypatch):
+        """Kernel counts of the groups each pass forms, in call order."""
+        seen = []
+        for name, axis in (("_tap_sums", 1), ("_window_sums", 0)):
+            def spy(operand, taps, real=getattr(layers, name), axis=axis):
+                seen.append(operand.shape[axis])
+                return real(operand, taps)
+            monkeypatch.setattr(layers, name, spy)
+        return seen
+
+    @staticmethod
+    def bank(rng, g, scale=True):
+        kernels = rng.standard_normal((g.n_kernels, g.in_c, g.k_h, g.k_w))
+        if scale:
+            kernels *= 10.0 ** rng.integers(-6, 7, kernels.shape)
+        return KernelBank(kernels, rng.standard_normal(g.n_kernels), g)
+
+    @staticmethod
+    def images(rng, g):
+        """Finite images, images with NaNs of one sign or with infinities
+        (every NaN a sum meets then has one sign), and images with NaNs of
+        both signs and infinities, the last flagged."""
+        shape = (g.in_c, g.in_h, g.in_w)
+
+        def spiked(*values):
+            image = rng.standard_normal(shape)
+            for value in values:
+                image[rng.random(shape) < 0.1] = value
+            return image
+
+        scaled = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+        return [(scaled, False), (spiked(np.nan), False), (spiked(-np.nan), False),
+                (spiked(np.inf, -np.inf), False),
+                (spiked(np.nan, -np.nan, np.inf, -np.inf), True)]
+
+    @staticmethod
+    def same_bytes(got, want):
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def same_values(got, want):
+        """Equal bytes outside the NaNs, and NaNs at the same places. Where
+        NaNs of both signs meet in a sum, the sign it keeps follows the
+        operand order numpy's add loop takes at that column, which is
+        swapped in a loop's last partial vector; grouping moves columns
+        in and out of that tail, and the loop oracles add scalars."""
+        nan = np.isnan(want)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def check(self, image, bank, grad, mixed_nans=False):
+        g = bank.geometry
+        same = self.same_values if mixed_nans else self.same_bytes
+        preact, _, _ = conv_forward(image, bank, RELU)
+        same(preact, one_slab_conv_forward_oracle(image, bank))
+        same(preact, conv_forward_oracle(image, bank.kernels, bank.biases, g.stride, g.pad))
+        if g.stride == 1:
+            gk, gb = conv_backward(grad, image, bank)
+            want_k, want_b = one_slab_conv_backward_oracle(grad, image, bank)
+            same(gk, want_k)
+            self.same_bytes(gb, want_b)
+            same(gk, conv_backward_oracle(grad, image, gk.shape, g.pad))
+
+    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize("g", GEOMETRIES)
+    def test_groups_match_whole_bank(self, monkeypatch, g, group):
+        rng = np.random.default_rng(90 + group)
+        self.lower_budget(monkeypatch, g, group)
+        seen = self.spy_groups(monkeypatch)
+        bank = self.bank(rng, g)
+        images = self.images(rng, g)
+        h1, w1, d1 = g.output_dims
+        for image, mixed_nans in images:
+            self.check(image, bank, rng.standard_normal((d1, h1, w1)), mixed_nans)
+        sizes = [min(group, d1 - k) for k in range(0, d1, group)]
+        passes = 2 if g.stride == 1 else 1
+        assert len(sizes) > 1 and seen == sizes * passes * len(images)
+
+    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize("g", GEOMETRIES)
+    def test_signed_zero_groups(self, monkeypatch, g, group):
+        # Every product, forward and backward, is -0.0 and the biases are
+        # -0.0: every forward sum starts at +0.0 and reads +0.0.
+        self.lower_budget(monkeypatch, g, group)
+        shape = (g.n_kernels, g.in_c, g.k_h, g.k_w)
+        bank = KernelBank(-np.ones(shape), np.full(g.n_kernels, -0.0), g)
+        image = np.zeros((g.in_c, g.in_h, g.in_w))
+        h1, w1, d1 = g.output_dims
+        self.check(image, bank, -np.ones((d1, h1, w1)))
+        preact, _, _ = conv_forward(image, bank, RELU)
+        assert not np.signbit(preact).any()
+
+    def test_budget_floor_and_one_kernel_minimum(self, monkeypatch):
+        # A budget one byte short of two kernels holds one; a budget
+        # smaller than one kernel still holds one.
+        g = ConvGeometry(8, 8, 1, 3, 3, 6)
+        rng = np.random.default_rng(95)
+        bank, (image, _) = self.bank(rng, g), self.images(rng, g)[0]
+        grad = rng.standard_normal((6, 6, 6))
+        for budget, sizes in ((2 * self.kernel_bytes(g) - 1, [1] * 6), (1, [1] * 6),
+                              (2 * self.kernel_bytes(g), [2, 2, 2]),
+                              (6 * self.kernel_bytes(g), [6])):
+            monkeypatch.setattr(tensor, "SLAB_BYTES", budget)
+            seen = self.spy_groups(monkeypatch)
+            self.check(image, bank, grad)
+            assert seen == sizes * 2, budget
+            monkeypatch.undo()
+
+    @staticmethod
+    def peak(call):
+        call()  # warm the table cache
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("g, bound", [
+        pytest.param(ConvGeometry(28, 28, 1, 5, 5, 8), 512 << 10, id="mnist"),
+        pytest.param(ConvGeometry(8, 8, 1, 3, 3, 6), None, id="bars"),
+    ])
+    def test_peak_bytes_of_one_call(self, monkeypatch, g, bound):
+        # The whole bank's products take 900 KiB at MNIST and one kernel's
+        # 112.5 KiB. The bars bank fits one group, so its peak must not grow
+        # over the whole-bank pass, which an unbounded budget forces.
+        rng = np.random.default_rng(96)
+        bank = self.bank(rng, g, scale=False)
+        image = rng.standard_normal((g.in_c, g.in_h, g.in_w))
+        h1, w1, d1 = g.output_dims
+        grad = rng.standard_normal((d1, h1, w1))
+        calls = (lambda: conv_forward(image, bank, RELU),
+                 lambda: conv_backward(grad, image, bank))
+        for call in calls:
+            peak = self.peak(call)
+            with monkeypatch.context() as m:
+                m.setattr(tensor, "SLAB_BYTES", tensor.MAX_BYTES)
+                whole = self.peak(call)
+            if bound is None:
+                assert peak <= whole
+            else:
+                assert peak < bound < whole
 
 
 # --- max pooling ---------------------------------------------------------
