@@ -114,7 +114,7 @@ def operands(g: ConvGeometry):
 @pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
 def test_conv_forward(benchmark, geometry):
     bank, image, _ = operands(CONV_GEOMETRIES[geometry])
-    benchmark(conv_forward, image, bank, ActivationKind.RELU)
+    benchmark(conv_forward, image, bank)
 
 
 @pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
@@ -126,14 +126,14 @@ def test_conv_backward(benchmark, geometry):
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_maxpool_forward(benchmark, geometry):
     bank, image, _ = operands(GEOMETRIES[geometry])
-    _, act, _ = conv_forward(image, bank, ActivationKind.RELU)
+    _, act, _ = conv_forward(image, bank)
     benchmark(maxpool_forward, act, POOL)
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_maxpool_backward(benchmark, geometry):
     bank, image, _ = operands(GEOMETRIES[geometry])
-    _, act, _ = conv_forward(image, bank, ActivationKind.RELU)
+    _, act, _ = conv_forward(image, bank)
     pooled, trace = maxpool_forward(act, POOL)
     grad = np.random.default_rng(2).standard_normal(pooled.shape)
     benchmark(maxpool_backward, grad, trace)
@@ -224,7 +224,7 @@ def test_sigmoid_derivative(benchmark, geometry):
 def test_relu_derivative(benchmark, geometry):
     # at the pre-activation conv maps, which backward differentiates
     bank, image, _ = operands(GEOMETRIES[geometry])
-    preact, _, _ = conv_forward(image, bank, ActivationKind.RELU)
+    preact, _, _ = conv_forward(image, bank)
     benchmark(derivative, ActivationKind.RELU, preact)
 
 

@@ -1,4 +1,6 @@
-"""Elementwise activation functions and their first derivatives."""
+"""The paper's activation functions, ReLU and sigmoid, with their first
+derivatives; and softmax, which ``predict`` applies to a network's output
+and no layer uses."""
 
 from __future__ import annotations
 
@@ -8,16 +10,11 @@ import numpy as np
 
 from .errors import ShapeError, UnsupportedError
 
-LEAKY_SLOPE = 0.01
-
 
 class ActivationKind(IntEnum):
     # Values double as the on-disk tag in the model file; do not renumber.
     SIGMOID = 0
-    TANH = 1
     RELU = 2
-    LEAKY_RELU = 3
-    SOFTMAX = 4
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -30,36 +27,31 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(z, 0.0)) / (1.0 + e)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Normalize the rank-1 vector ``z`` to probabilities."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1:
+        raise ShapeError(f"softmax expects rank 1, got rank {z.ndim}")
     # Max-subtraction changes nothing analytically but keeps exp finite.
     e = np.exp(z - np.max(z))
     return e / np.sum(e)
 
 
 def apply(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
-    """Apply the activation elementwise (softmax normalizes the whole vector)."""
+    """Apply the activation elementwise."""
     z = np.asarray(z, dtype=np.float64)
-    # init builds ReLU and sigmoid layers only, most of them ReLU: test those first.
+    # init builds ReLU and sigmoid layers, most of them ReLU: test that first.
     if kind == ActivationKind.RELU:
         return np.maximum(0.0, z)
     if kind == ActivationKind.SIGMOID:
         return _sigmoid(z)
-    if kind == ActivationKind.TANH:
-        return np.tanh(z)
-    if kind == ActivationKind.LEAKY_RELU:
-        return np.where(z >= 0, z, LEAKY_SLOPE * z)
-    if kind == ActivationKind.SOFTMAX:
-        if z.ndim != 1:
-            raise ShapeError(f"softmax expects rank 1, got rank {z.ndim}")
-        return _softmax(z)
     raise UnsupportedError(f"unknown activation {kind!r}")
 
 
 def derivative(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
     """Elementwise first derivative evaluated at the pre-activation ``z``.
 
-    ReLU and leaky ReLU take the right-hand branch at z == 0 (slope 1).
-    Softmax has no elementwise derivative; it is inference-only here.
+    ReLU takes the right-hand branch at z == 0 (slope 1).
     """
     z = np.asarray(z, dtype=np.float64)
     if kind == ActivationKind.RELU:
@@ -68,11 +60,4 @@ def derivative(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
     if kind == ActivationKind.SIGMOID:
         s = _sigmoid(z)
         return s * (1.0 - s)
-    if kind == ActivationKind.TANH:
-        t = np.tanh(z)
-        return 1.0 - t * t
-    if kind == ActivationKind.LEAKY_RELU:
-        return np.where(z >= 0, 1.0, LEAKY_SLOPE)
-    if kind == ActivationKind.SOFTMAX:
-        raise UnsupportedError("softmax is inference-only; no elementwise derivative")
     raise UnsupportedError(f"unknown activation {kind!r}")

@@ -24,9 +24,9 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 
+from . import activations
 from . import network as net_mod
 from . import tensor
-from .activations import ActivationKind, apply
 from .dataio import (
     Dataset,
     dataset_from_idx,
@@ -309,7 +309,7 @@ def cmd_predict(model_path: str, image_path: str, softmax: bool) -> int:
         yhat, _ = net_mod.forward(net, image)
     if not np.isfinite(yhat).all():
         raise DomainError(f"model output for {image_path} is not finite")
-    out = apply(ActivationKind.SOFTMAX, yhat) if softmax else yhat
+    out = activations.softmax(yhat) if softmax else yhat
     print(" ".join(f"{v:.6f}" for v in out))
     print(f"class={int(np.argmax(out))}")
     return EXIT_OK

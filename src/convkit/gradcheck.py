@@ -37,9 +37,6 @@ REL_ERR_FLOOR = 1e-8
 NEAR_ZERO_SCALE = 3e-5
 NEAR_ZERO_ABS = 1e-9
 
-_PIECEWISE = (ActivationKind.RELU, ActivationKind.LEAKY_RELU)
-
-
 def relative_error(analytic: float, numeric: float) -> float:
     """|a - n| / max(|a|, |n|, 1e-8), except that near-zero gradient pairs
     (both below 3e-5) pass on |a - n| <= 1e-9 instead; a near-zero pair
@@ -98,11 +95,11 @@ class GradReport:
 
 def _decision_reads(net: net_mod.Network, first: int) -> list[tuple[int, bool]]:
     """The decisions a forward run makes from trace ``first`` on, as
-    (trace index, is pool) pairs: the pool trace's winners, and the signs
-    of each trace whose activation is piecewise."""
-    kinds = [net.conv_activation, None] + [layer.activation for layer in net.dense]
+    (trace index, is pool) pairs: the signs of the ReLU conv trace, the
+    pool trace's winners, and the signs of each ReLU dense trace."""
+    kinds = [ActivationKind.RELU, None] + [layer.activation for layer in net.dense]
     return [(k, kind is None) for k, kind in enumerate(kinds)
-            if k >= first and (kind is None or kind in _PIECEWISE)]
+            if k >= first and kind in (None, ActivationKind.RELU)]
 
 
 def _pattern(traces, reads: list[tuple[int, bool]]) -> bytes:
@@ -111,11 +108,10 @@ def _pattern(traces, reads: list[tuple[int, bool]]) -> bytes:
 
 
 def _decision_pattern(net: net_mod.Network, traces, first: int) -> bytes:
-    """Branch decisions of one forward run from trace ``first`` on:
-    piecewise-activation signs and flat pool winner positions, as the
-    concatenated bytes of their arrays. Every part has a size fixed by the
-    network, so two runs made the same decisions exactly when their
-    patterns are equal."""
+    """Branch decisions of one forward run from trace ``first`` on: ReLU
+    signs and flat pool winner positions, as the concatenated bytes of
+    their arrays. Every part has a size fixed by the network, so two runs
+    made the same decisions exactly when their patterns are equal."""
     return _pattern(traces, _decision_reads(net, first))
 
 

@@ -8,7 +8,7 @@ Conventions fixed here once:
   Ipad[c, i*s+u, j*s+v] + b[p]``, summed over the taps in ascending
   (c, u, v) order from +0.0 (a loop's ``acc = 0.0``; the dense sums start
   at -0.0) with the bias added last, so results are bit-identical to a
-  naive nested loop.
+  naive nested loop. The conv activation is ReLU by construction.
 * The kernel gradient ``dK[p, c, u, v]`` is one pairwise ``np.sum`` per
   tap over its h1*w1 products ``grad[p] * Ipad[c, u:u+h1, v:v+w1]``,
   laid out contiguously in row-major (i, j) order. The bias gradient
@@ -143,13 +143,18 @@ class KernelBank:
 
 @dataclass
 class DenseLayer:
-    """Fully connected layer: weights (n_out, n_in), biases (n_out,)."""
+    """Fully connected layer: weights (n_out, n_in), biases (n_out,), and a
+    ReLU or sigmoid activation."""
 
     weights: np.ndarray
     biases: np.ndarray
     activation: ActivationKind
 
     def __post_init__(self):
+        try:
+            self.activation = ActivationKind(self.activation)
+        except ValueError as e:
+            raise UnsupportedError(f"unknown activation {self.activation!r}") from e
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.biases = np.asarray(self.biases, dtype=np.float64)
         if self.weights.ndim != 2 or self.biases.ndim != 1:
@@ -284,9 +289,9 @@ def _window_sums(grad: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 def conv_forward(
-    image: np.ndarray, bank: KernelBank, activation: ActivationKind
+    image: np.ndarray, bank: KernelBank
 ) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
-    """Slide the kernel bank over the (channels, H, W) image.
+    """Slide the kernel bank over the (channels, H, W) image and apply ReLU.
 
     ``_taps`` gathers each tap's inputs through a table cached per
     geometry. For each kernel group (``_kernel_group``), each tap's
@@ -294,8 +299,8 @@ def conv_forward(
     ascending (c, u, v) order; ``tensor.sum_rows`` adds the rows from
     +0.0, then the biases are added.
 
-    Returns the pre-activation feature maps, the activated maps, and the
-    trace caching the input image and pre-activation.
+    Returns the pre-activation feature maps, the ReLU maps, and the trace
+    caching the input image and pre-activation.
     """
     image = np.ascontiguousarray(image, dtype=np.float64)
     g = bank.geometry
@@ -312,7 +317,7 @@ def conv_forward(
                                  for k in range(0, d1, group)])
     preact = preact.reshape(d1, h1, w1)
     preact += bank.biases[:, None, None]  # in place: sum_rows returns a new array
-    act = apply(activation, preact)
+    act = apply(ActivationKind.RELU, preact)
     return preact, act, ForwardTrace(image, preact)
 
 

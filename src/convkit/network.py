@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor
 from .activations import ActivationKind, apply, derivative
 from .dataio import Dataset, _opened, check_labels
-from .errors import DomainError, ParseError, ShapeError, TruncationError, UnsupportedError
+from .errors import DomainError, ParseError, ShapeError, TruncationError
 from .layers import (
     ConvGeometry,
     DenseLayer,
@@ -78,7 +78,7 @@ class Architecture:
 
 @dataclass
 class Network:
-    """Parameters and topology: conv -> pool -> flatten -> dense stack.
+    """Parameters and topology: ReLU conv -> pool -> flatten -> dense stack.
 
     All parameters live in one float64 vector, ``params``, laid out as
     ``param_groups`` says. Construction copies the given bank and dense
@@ -88,7 +88,6 @@ class Network:
     """
 
     bank: KernelBank
-    conv_activation: ActivationKind
     pool: PoolGeometry
     dense: list[DenseLayer]
     params: np.ndarray = field(init=False, repr=False, compare=False)
@@ -186,12 +185,7 @@ def init(arch: Architecture, seed: int) -> Network:
         kind = ActivationKind.SIGMOID if i == last else ActivationKind.RELU
         layers.append(DenseLayer(weights=w, biases=np.zeros(width), activation=kind))
         n_in = width
-    return Network(
-        bank=bank,
-        conv_activation=ActivationKind.RELU,
-        pool=arch.pool,
-        dense=layers,
-    )
+    return Network(bank=bank, pool=arch.pool, dense=layers)
 
 
 def forward(net: Network, image: np.ndarray) -> tuple[np.ndarray, list[ForwardTrace]]:
@@ -200,7 +194,7 @@ def forward(net: Network, image: np.ndarray) -> tuple[np.ndarray, list[ForwardTr
     Returns the predicted vector and one trace per layer, in order:
     conv, pool, then each dense layer.
     """
-    _, act, conv_trace = conv_forward(image, net.bank, net.conv_activation)
+    _, act, conv_trace = conv_forward(image, net.bank)
     pooled, pool_trace = maxpool_forward(act, net.pool)
     a = pooled.reshape(-1)
     traces = [conv_trace, pool_trace]
@@ -241,7 +235,7 @@ def backward(net: Network, traces: list[ForwardTrace], y: np.ndarray) -> np.ndar
         gw, gb, grad = dense_backward(grad, layer, trace)
         dense_grads[:0] = [gw.ravel(), gb]
     grad_act = maxpool_backward(grad.reshape(pool_trace.winners.shape), pool_trace)
-    grad_preact = grad_act * derivative(net.conv_activation, conv_trace.preact)
+    grad_preact = grad_act * derivative(ActivationKind.RELU, conv_trace.preact)
     gk, gcb = conv_backward(grad_preact, conv_trace.input, net.bank)
     return np.concatenate([gk.ravel(), gcb, *dense_grads])
 
@@ -371,9 +365,10 @@ def evaluate(net: Network, data: Dataset) -> tuple[float, float]:
 #   magic   "CNNF"
 #   u32     version (1)
 #   u32 x8  conv geometry: in_h, in_w, in_c, k_h, k_w, n_kernels, stride, pad
+#           (no activation tag: the conv layer is ReLU by construction)
 #   u32 x2  pool geometry: window, stride
 #   u32     dense layer count
-#   per dense layer: u32 n_in, u32 n_out, u8 activation tag
+#   per dense layer: u32 n_in, u32 n_out, u8 activation tag (0 sigmoid, 2 ReLU)
 #   f64[]   Network.params, in param_groups order:
 #           conv kernels, filter-major (kernel, channel, row, col),
 #           conv biases,
@@ -382,12 +377,7 @@ def evaluate(net: Network, data: Dataset) -> tuple[float, float]:
 
 def save(net: Network, sink: str | BinaryIO) -> None:
     """Write the network to a path or binary stream; load() restores it
-    bit-for-bit. The format has no conv activation field (load() reads
-    ReLU), so any other conv activation is refused."""
-    if net.conv_activation != ActivationKind.RELU:
-        raise UnsupportedError(
-            f"the model format stores ReLU conv layers only, got {net.conv_activation.name}"
-        )
+    bit-for-bit."""
     g = net.bank.geometry
     out = io.BytesIO()
     out.write(MODEL_MAGIC)
@@ -498,7 +488,6 @@ def _read_model(r: _Reader) -> Network:
     try:
         return Network(
             bank=KernelBank(kernels=kernels, biases=biases, geometry=conv),
-            conv_activation=ActivationKind.RELU,
             pool=pool,
             dense=layers,
         )

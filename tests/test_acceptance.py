@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from convkit import network as nm
-from convkit.activations import ActivationKind
 from convkit.cli import main
 from convkit.dataio import Dataset, dataset_from_idx, synth_bars
 from convkit.errors import DomainError, GeometryError
@@ -101,7 +100,7 @@ def test_criterion_2_layer_level_oracles():
                 biases=rng.standard_normal(g.n_kernels),
                 geometry=g,
             )
-            preact, _, _ = conv_forward(image, bank, ActivationKind.RELU)
+            preact, _, _ = conv_forward(image, bank)
             assert np.array_equal(
                 preact, conv_forward_oracle(image, bank.kernels, bank.biases, 1, 0)
             )

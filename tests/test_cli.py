@@ -61,7 +61,6 @@ def zero_model(tmp_path):
     )
     net = nm.Network(
         bank=bank,
-        conv_activation=ActivationKind.RELU,
         pool=PoolGeometry(2, 2),
         dense=[
             DenseLayer(np.zeros((8, 18)), np.zeros(8), ActivationKind.RELU),
@@ -567,6 +566,30 @@ class TestPredict:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "not finite" in lines[0]
+
+
+class TestUnknownActivationTag:
+    """A model whose dense header carries a tag other than 0 (sigmoid) or
+    2 (ReLU) is a data error for every command that reads a model; 1, 3
+    and 4 once tagged tanh, leaky ReLU and softmax layers."""
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("tag", [1, 3, 4, 5, 255])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, tag):
+        model = Path(zero_model(tmp_path))
+        blob = bytearray(model.read_bytes())
+        blob[52 + 9 + 8] = tag  # dense[1]'s tag: each dense header is 9 bytes
+        model.write_bytes(bytes(blob))
+        cfg = train_config(tmp_path)
+        image = write_pgm(tmp_path, "img.pgm", 8, 8)
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        args = [cfg] if command == "eval" else [image]
+        assert main([command, str(model), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"dense[1] has unknown activation tag {tag}" in captured.err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestUsage:

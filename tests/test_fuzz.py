@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convkit import network as nm
+from convkit.activations import ActivationKind
 from convkit.cli import RunConfig, main
 from convkit.dataio import dataset_from_idx, load_idx_images, load_idx_labels, load_pgm
-from convkit.errors import ConfigError, ConvkitError
-from convkit.layers import ConvGeometry, PoolGeometry
+from convkit.errors import ConfigError, ConvkitError, GeometryError
+from convkit.layers import ConvGeometry, DenseLayer, KernelBank, PoolGeometry
 
 ARCH = nm.Architecture(
     conv=ConvGeometry(8, 8, 1, 3, 3, 2),
@@ -61,6 +62,57 @@ def test_load_raises_only_convkit_errors(edits, length):
     out = io.BytesIO()
     nm.save(net, out)
     assert out.getvalue() == blob
+
+
+# Every way a caller can name a kind that DenseLayer accepts.
+KIND_VALUES = [0, 2, ActivationKind.SIGMOID, ActivationKind.RELU, np.uint8(0), np.int64(2), 2.0]
+
+
+@st.composite
+def networks(draw):
+    """Any small network that construction accepts, its parameters drawn
+    as raw float64 bit patterns (NaN payloads, -0.0 and infinities
+    included)."""
+    k_h, k_w, pad, stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                             draw(st.integers(0, 1)), draw(st.integers(1, 2)))
+    in_h = max(1, k_h - 2 * pad) + stride * draw(st.integers(0, 3))
+    in_w = max(1, k_w - 2 * pad) + stride * draw(st.integers(0, 3))
+    try:
+        conv = ConvGeometry(in_h, in_w, draw(st.integers(1, 2)), k_h, k_w,
+                            draw(st.integers(1, 3)), stride, pad)
+        h1, w1, _ = conv.output_dims
+        pool = PoolGeometry(draw(st.integers(1, min(h1, w1))), draw(st.integers(1, 2)))
+        arch = nm.Architecture(conv, pool, tuple(draw(st.lists(st.integers(1, 4),
+                                                               min_size=1, max_size=3))))
+        n_in = arch.flat_length()
+    except GeometryError:
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def bits(*shape):
+        return rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+
+    dense = []
+    for width in arch.dense_widths:
+        kind = draw(st.sampled_from(KIND_VALUES))
+        dense.append(DenseLayer(bits(width, n_in), bits(width), kind))
+        n_in = width
+    kernels = bits(conv.n_kernels, conv.in_c, conv.k_h, conv.k_w)
+    return nm.Network(KernelBank(kernels, bits(conv.n_kernels), conv), pool, dense)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(net=networks())
+def test_every_network_round_trips_bit_for_bit(net):
+    buf = io.BytesIO()
+    nm.save(net, buf)
+    loaded = nm.load(io.BytesIO(buf.getvalue()))
+    assert loaded.params.tobytes() == net.params.tobytes()
+    assert loaded.bank.geometry == net.bank.geometry and loaded.pool == net.pool
+    assert [layer.activation for layer in loaded.dense] == [layer.activation for layer in net.dense]
+    out = io.BytesIO()
+    nm.save(loaded, out)
+    assert out.getvalue() == buf.getvalue()
 
 
 # --- IDX and PGM ----------------------------------------------------------

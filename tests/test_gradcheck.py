@@ -189,13 +189,10 @@ def full_decision_pattern(net, traces):
     """The decision pattern of a whole forward run, which every
     perturbation compared before the patterns started at the perturbed
     layer; kept as the reference."""
-    piecewise = (ActivationKind.RELU, ActivationKind.LEAKY_RELU)
     conv_trace, pool_trace = traces[0], traces[1]
-    parts = [pool_trace.winners]
-    if net.conv_activation in piecewise:
-        parts.append(conv_trace.preact >= 0)
+    parts = [pool_trace.winners, conv_trace.preact >= 0]
     for layer, trace in zip(net.dense, traces[2:]):
-        if layer.activation in piecewise:
+        if layer.activation == ActivationKind.RELU:
             parts.append(trace.preact >= 0)
     return b"".join(p.tobytes() for p in parts)
 

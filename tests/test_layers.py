@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from convkit import layers, tensor
-from convkit.activations import ActivationKind, apply
+from convkit.activations import ActivationKind
 from convkit.errors import GeometryError, ShapeError, UnsupportedError
 from convkit.layers import (
     ConvGeometry,
@@ -337,7 +337,7 @@ class TestConvForward:
             biases=np.zeros(1),
             geometry=ConvGeometry(3, 3, 1, 2, 2, 1),
         )
-        preact, act, _ = conv_forward(image, bank, RELU)
+        preact, act, _ = conv_forward(image, bank)
         assert np.array_equal(preact, np.full((1, 2, 2), 4.0))
         assert np.array_equal(act, preact)
 
@@ -349,14 +349,14 @@ class TestConvForward:
         bank = KernelBank(
             kernels=kernels, biases=np.zeros(1), geometry=ConvGeometry(5, 5, 1, 3, 3, 1)
         )
-        preact, _, _ = conv_forward(image, bank, RELU)
+        preact, _, _ = conv_forward(image, bank)
         assert np.array_equal(preact[0], image[0, :3, :3])
 
     def test_bit_identical_to_loop_oracle_small(self):
         rng = np.random.default_rng(22)
         image = rng.standard_normal((1, 4, 4))
         bank = random_bank(rng, 4, 4, 1, 2, 2)
-        preact, _, _ = conv_forward(image, bank, RELU)
+        preact, _, _ = conv_forward(image, bank)
         expect = conv_forward_oracle(image, bank.kernels, bank.biases, 1, 0)
         assert np.array_equal(preact, expect)
 
@@ -374,13 +374,13 @@ class TestConvForward:
                 continue
             image = rng.standard_normal((in_c, h, w))
             bank = random_bank(rng, h, w, in_c, k, int(rng.integers(1, 4)), stride, pad)
-            preact, _, _ = conv_forward(image, bank, RELU)
+            preact, _, _ = conv_forward(image, bank)
             expect = conv_forward_oracle(image, bank.kernels, bank.biases, stride, pad)
             assert np.array_equal(preact, expect)
         # the MNIST geometry: 28x28 input, 8 kernels of 5x5
         image = rng.standard_normal((1, 28, 28))
         bank = random_bank(rng, 28, 28, 1, 5, 8)
-        preact, _, _ = conv_forward(image, bank, RELU)
+        preact, _, _ = conv_forward(image, bank)
         expect = conv_forward_oracle(image, bank.kernels, bank.biases, 1, 0)
         assert np.array_equal(preact, expect)
 
@@ -401,7 +401,7 @@ class TestConvForward:
         bank = random_bank(rng, h, w, in_c, k, n_kernels, stride)
         bank.kernels *= 10.0 ** rng.integers(-6, 7, bank.kernels.shape)
         image = rng.standard_normal((in_c, h, w))
-        preact, _, _ = conv_forward(image, bank, RELU)
+        preact, _, _ = conv_forward(image, bank)
         expect = conv_forward_oracle(image, bank.kernels, bank.biases, stride, 0)
         assert np.array_equal(preact.view(np.int64), expect.view(np.int64))
 
@@ -415,7 +415,7 @@ class TestConvForward:
             kernels=-np.ones((3, 2, k, k)), biases=np.full(3, -0.0), geometry=g
         )
         image = np.zeros((2, 6, 6))
-        preact, _, _ = conv_forward(image, bank, RELU)
+        preact, _, _ = conv_forward(image, bank)
         expect = conv_forward_oracle(image, bank.kernels, bank.biases, 1, 0)
         assert not np.signbit(expect).any()
         assert np.array_equal(preact.view(np.int64), expect.view(np.int64))
@@ -424,14 +424,14 @@ class TestConvForward:
         rng = np.random.default_rng(24)
         bank = random_bank(rng, 4, 4, 1, 2, 2)
         with pytest.raises(ShapeError):
-            conv_forward(np.zeros((1, 5, 5)), bank, RELU)
+            conv_forward(np.zeros((1, 5, 5)), bank)
 
     def test_deterministic(self):
         rng = np.random.default_rng(25)
         image = rng.standard_normal((2, 6, 6))
         bank = random_bank(rng, 6, 6, 2, 3, 2)
-        a, _, _ = conv_forward(image, bank, RELU)
-        b, _, _ = conv_forward(image, bank, RELU)
+        a, _, _ = conv_forward(image, bank)
+        b, _, _ = conv_forward(image, bank)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("stride, pad", [(1, 0), (2, 0), (1, 1)])
@@ -439,13 +439,13 @@ class TestConvForward:
         rng = np.random.default_rng(26)
         bank = random_bank(rng, 7, 7, 2, 3, 3, stride, pad)
         image = rng.standard_normal((2, 7, 7))
-        want, _, _ = conv_forward(image, bank, RELU)
+        want, _, _ = conv_forward(image, bank)
         read_only = image.copy()
         read_only.flags.writeable = False
         row_gaps = np.pad(image, ((0, 0), (0, 0), (0, 1)))[..., :-1]
         for view in (np.asfortranarray(image), row_gaps,
                      np.stack([image, image], axis=-1)[..., 1], read_only):
-            got, _, trace = conv_forward(view, bank, RELU)
+            got, _, trace = conv_forward(view, bank)
             assert got.tobytes() == want.tobytes()
             assert trace.input.tobytes() == image.tobytes()
 
@@ -478,7 +478,7 @@ class TestGatherTables:
                 geometry=g,
             )
             image = rng.standard_normal((g.in_c, g.in_h, g.in_w))
-            preact, _, _ = conv_forward(image, bank, RELU)
+            preact, _, _ = conv_forward(image, bank)
             assert preact.tobytes() == strided_conv_forward_oracle(image, bank).tobytes(), g
             if g.stride == 1:
                 grad = rng.standard_normal(preact.shape)
@@ -495,7 +495,7 @@ class TestGatherTables:
         pool = PoolGeometry(2, 2)
 
         def run():
-            preact, act, conv_trace = conv_forward(image, bank, RELU)
+            preact, act, conv_trace = conv_forward(image, bank)
             pooled, pool_trace = maxpool_forward(act, pool)
             taps = _taps(image, bank.geometry)
             return [preact, act, conv_trace.preact, pooled, pool_trace.winners, taps]
@@ -622,11 +622,11 @@ class TestConvBackward:
         step = 1e-6
 
         def total(power):
-            preact, _, _ = conv_forward(image, bank, RELU)
+            preact, _, _ = conv_forward(image, bank)
             return float(np.sum(preact)) if power == 1 else float(np.sum(preact**2) / 2)
 
         for power in (1, 2):
-            preact, _, _ = conv_forward(image, bank, RELU)
+            preact, _, _ = conv_forward(image, bank)
             upstream = np.ones_like(preact) if power == 1 else preact
             gk, gb = conv_backward(upstream, image, bank)
             for params, grads in ((bank.kernels, gk), (bank.biases, gb)):
@@ -825,7 +825,7 @@ class TestConvKernelGroups:
     def check(self, image, bank, grad, mixed_nans=False):
         g = bank.geometry
         same = self.same_values if mixed_nans else self.same_bytes
-        preact, _, _ = conv_forward(image, bank, RELU)
+        preact, _, _ = conv_forward(image, bank)
         same(preact, one_slab_conv_forward_oracle(image, bank))
         same(preact, conv_forward_oracle(image, bank.kernels, bank.biases, g.stride, g.pad))
         if g.stride == 1:
@@ -861,7 +861,7 @@ class TestConvKernelGroups:
         image = np.zeros((g.in_c, g.in_h, g.in_w))
         h1, w1, d1 = g.output_dims
         self.check(image, bank, -np.ones((d1, h1, w1)))
-        preact, _, _ = conv_forward(image, bank, RELU)
+        preact, _, _ = conv_forward(image, bank)
         assert not np.signbit(preact).any()
 
     def test_budget_floor_and_one_kernel_minimum(self, monkeypatch):
@@ -903,7 +903,7 @@ class TestConvKernelGroups:
         image = rng.standard_normal((g.in_c, g.in_h, g.in_w))
         h1, w1, d1 = g.output_dims
         grad = rng.standard_normal((d1, h1, w1))
-        calls = (lambda: conv_forward(image, bank, RELU),
+        calls = (lambda: conv_forward(image, bank),
                  lambda: conv_backward(grad, image, bank))
         for call in calls:
             peak = self.peak(call)
@@ -954,11 +954,11 @@ class TestMaxPool:
 
     @pytest.mark.parametrize("window,stride,size", [(2, 2, 8), (3, 2, 9)])
     def test_signed_zero_ties_keep_first_max_bits(self, window, stride, size):
-        # Leaky ReLU passes -0.0 through, so windows whose maximum is a
-        # -0.0/0.0 tie are common; the pooled value is the first one's bits.
+        # Windows whose maximum is a -0.0/0.0 tie: the pooled value is the
+        # first one's bits. The map is built directly, since a ReLU map
+        # holds no -0.0 (np.maximum(0.0, -0.0) is +0.0).
         rng = np.random.default_rng(39)
-        z = rng.choice(np.array([-0.0, 0.0, -1.0]), size=(4, size, size))
-        act = apply(ActivationKind.LEAKY_RELU, z)
+        act = rng.choice(np.array([-0.0, 0.0, -1.0, 0.5]), size=(4, size, size))
         pooled, _ = maxpool_forward(act, PoolGeometry(window, stride))
         expect, _, _ = maxpool_oracle(act, window, stride)
         zero_signs = np.signbit(expect[expect == 0.0])
@@ -992,9 +992,9 @@ class TestMaxPoolPlaneLoopOracle:
 
     @pytest.mark.parametrize("window,stride,size", POOL_WINDOWS)
     def test_signed_zero_ties_from_leaky_relu(self, window, stride, size):
+        # The -0.0/0.0 ties a leaky ReLU would pass through, built directly.
         rng = np.random.default_rng(62)
-        z = rng.choice(np.array([-0.0, 0.0, -1.0, 0.5]), size=(5, size, size))
-        act = apply(ActivationKind.LEAKY_RELU, z)
+        act = rng.choice(np.array([-0.0, 0.0, -1.0, 0.5]), size=(5, size, size))
         assert np.signbit(act[act == 0.0]).any()
         self.check(act, window, stride)
 
@@ -1197,6 +1197,19 @@ class TestDenseForward:
         with pytest.raises(ShapeError):
             dense_forward(np.zeros(4), layer)
 
+    @pytest.mark.parametrize("tag", [0, 2, np.uint8(2), 2.0])
+    def test_activation_becomes_a_kind(self, tag):
+        layer = DenseLayer(np.zeros((1, 1)), np.zeros(1), tag)
+        assert type(layer.activation) is ActivationKind and layer.activation == tag
+
+    @pytest.mark.parametrize("tag", [1, 3, 4, 5, 255, -1, 2.5, None, "RELU"])
+    def test_unknown_activation_refused(self, tag):
+        # save() writes the tag as given, so a layer load() would refuse
+        # must not be built; 1, 3 and 4 once tagged tanh, leaky ReLU and
+        # softmax layers.
+        with pytest.raises(UnsupportedError, match="unknown activation"):
+            DenseLayer(np.zeros((1, 1)), np.zeros(1), tag)
+
 
 class TestDenseBackward:
     def test_zero_upstream_grad(self):
@@ -1269,9 +1282,3 @@ class TestDenseBackward:
         _, gb, gx = dense_backward(rng.standard_normal(n_out), layer, trace)
         expect = transpose_matvec_oracle(layer.weights, gb)  # gb is delta
         assert np.array_equal(gx.view(np.int64), expect.view(np.int64))
-
-    def test_softmax_layer_rejected(self):
-        layer = DenseLayer(np.zeros((2, 2)), np.zeros(2), ActivationKind.SOFTMAX)
-        _, _, trace = dense_forward(np.zeros(2), layer)
-        with pytest.raises(UnsupportedError):
-            dense_backward(np.zeros(2), layer, trace)

@@ -16,7 +16,6 @@ from convkit.errors import (
     ParseError,
     ShapeError,
     TruncationError,
-    UnsupportedError,
 )
 from convkit.layers import (
     ConvGeometry,
@@ -57,8 +56,7 @@ def zero_net():
         DenseLayer(np.zeros((8, 18)), np.zeros(8), ActivationKind.RELU),
         DenseLayer(np.zeros((2, 8)), np.zeros(2), ActivationKind.SIGMOID),
     ]
-    return nm.Network(bank=bank, conv_activation=ActivationKind.RELU,
-                      pool=PoolGeometry(2, 2), dense=dense)
+    return nm.Network(bank=bank, pool=PoolGeometry(2, 2), dense=dense)
 
 
 def params_equal(a: nm.Network, b: nm.Network) -> bool:
@@ -130,8 +128,7 @@ class TestInit:
         with pytest.raises(ShapeError, match=message):
             nm.init(arch, 0)
         with pytest.raises(ShapeError, match=message):
-            nm.Network(bank=net.bank, conv_activation=net.conv_activation,
-                       pool=net.pool, dense=net.dense)
+            nm.Network(bank=net.bank, pool=net.pool, dense=net.dense)
 
     def test_oversized_layer_arrays_rejected_before_allocating(self):
         # 108,216,170 parameters, under the bound; the conv products of one
@@ -168,7 +165,6 @@ class TestInit:
         with pytest.raises(ShapeError):
             nm.Network(
                 bank=fixture_net(0).bank,
-                conv_activation=ActivationKind.RELU,
                 pool=PoolGeometry(2, 2),
                 dense=[DenseLayer(np.zeros((4, 17)), np.zeros(4), ActivationKind.RELU)],
             )
@@ -215,8 +211,7 @@ class TestParamGroups:
         # over their arrays: each network keeps its arrays tied to its params
         a = fixture_net(35)
         before = a.params.copy()
-        b = nm.Network(bank=a.bank, conv_activation=ActivationKind.RELU,
-                       pool=a.pool, dense=a.dense)
+        b = nm.Network(bank=a.bank, pool=a.pool, dense=a.dense)
         b.params[:] = 0.0
         assert np.array_equal(a.params, before)
         assert np.array_equal(a.bank.kernels.ravel(), before[:18])
@@ -244,7 +239,7 @@ class TestForward:
         net = fixture_net(5)
         image, _ = random_sample(5)
         yhat, _ = nm.forward(net, image)
-        _, act, _ = conv_forward(image, net.bank, net.conv_activation)
+        _, act, _ = conv_forward(image, net.bank)
         pooled, _ = maxpool_forward(act, net.pool)
         a = pooled.reshape(-1)
         for layer in net.dense:
@@ -313,12 +308,10 @@ class TestBackward:
                     assert abs(a - numeric) / scale <= 1e-6
 
     def test_matches_finite_difference_random_geometries(self):
-        # Random channels, padding, pool overlap, stack depth, and
+        # Random channels, padding, pool overlap, stack depth, and hidden
         # activations; skips perturbations that cross a branch decision.
         rng = np.random.default_rng(777)
-        hidden_kinds = [ActivationKind.RELU, ActivationKind.TANH,
-                        ActivationKind.SIGMOID, ActivationKind.LEAKY_RELU]
-        piecewise = (ActivationKind.RELU, ActivationKind.LEAKY_RELU)
+        hidden_kinds = [ActivationKind.RELU, ActivationKind.SIGMOID]
 
         def random_net():
             from convkit.layers import conv_output_dims, pool_output_dims
@@ -345,7 +338,7 @@ class TestBackward:
                 n_in = h2 * w2 * d2
                 for i, nw in enumerate(widths):
                     kind = (ActivationKind.SIGMOID if i == depth - 1
-                            else hidden_kinds[int(rng.integers(0, 4))])
+                            else hidden_kinds[int(rng.integers(0, 2))])
                     layers.append(DenseLayer(
                         rng.uniform(-0.6, 0.6, (nw, n_in)),
                         rng.uniform(-0.3, 0.3, nw), kind))
@@ -353,20 +346,15 @@ class TestBackward:
                 bank = KernelBank(
                     rng.uniform(-0.6, 0.6, (g.n_kernels, in_c, k, k)),
                     rng.uniform(-0.3, 0.3, g.n_kernels), g)
-                conv_kind = hidden_kinds[int(rng.integers(0, 4))]
-                net = nm.Network(bank=bank, conv_activation=conv_kind,
-                                 pool=pool, dense=layers)
+                net = nm.Network(bank=bank, pool=pool, dense=layers)
                 image = rng.uniform(0.0, 1.0, (in_c, h, w))
                 label = one_hot(int(rng.integers(0, widths[-1])), widths[-1])
                 return net, image, label
 
         def decisions(net, traces):
-            parts = []
-            if net.conv_activation in piecewise:
-                parts.append(traces[0].preact >= 0)
-            parts.append(traces[1].winners)
+            parts = [traces[0].preact >= 0, traces[1].winners]
             for layer, t in zip(net.dense, traces[2:]):
-                if layer.activation in piecewise:
+                if layer.activation == ActivationKind.RELU:
                     parts.append(t.preact >= 0)
             return parts
 
@@ -581,8 +569,7 @@ class TestEvaluate:
         )
         dense = [DenseLayer(np.array([[1.0], [-1.0]]), np.array([-2.0, 2.0]),
                             ActivationKind.SIGMOID)]
-        net = nm.Network(bank=bank, conv_activation=ActivationKind.RELU,
-                         pool=PoolGeometry(2, 2), dense=dense)
+        net = nm.Network(bank=bank, pool=PoolGeometry(2, 2), dense=dense)
         bright = np.ones((1, 3, 3))
         faint = np.full((1, 3, 3), 0.1)
         data = Dataset(
@@ -742,20 +729,18 @@ class TestSaveLoad:
             nm.load(stream)
         assert stream.bytes_read == 52 + 2 * 9
 
-    def test_non_relu_conv_activation_refused(self, tmp_path):
-        # load() always reads a ReLU conv layer, so saving tanh would
-        # silently change the model's predictions.
-        net = fixture_net(34)
-        tanh = nm.Network(bank=net.bank, conv_activation=ActivationKind.TANH,
-                          pool=net.pool, dense=net.dense)
-        path = tmp_path / "tanh.cnnf"
-        with pytest.raises(UnsupportedError, match="TANH"):
-            nm.save(tanh, str(path))
-        assert not path.exists()
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("tag", [1, 3, 4, 5, 255])
+    def test_unknown_activation_tag_refused(self, layer, tag):
+        # 1, 3 and 4 once tagged tanh, leaky ReLU and softmax layers. Each
+        # dense header is u32 n_in, u32 n_out, u8 tag, from byte 52 on.
         buf = io.BytesIO()
-        with pytest.raises(UnsupportedError):
-            nm.save(tanh, buf)
-        assert buf.getvalue() == b""
+        nm.save(fixture_net(34), buf)
+        blob = bytearray(buf.getvalue())
+        blob[52 + 9 * layer + 8] = tag
+        message = rf"dense\[{layer}\] has unknown activation tag {tag}$"
+        with pytest.raises(ParseError, match=message):
+            nm.load(io.BytesIO(bytes(blob)))
 
     def test_inconsistent_geometry_rejected(self):
         net = fixture_net(29)
