@@ -8,7 +8,8 @@ padded 2-channel bars geometry (8x8x2 input, 6 kernels of 3x3, pad 1),
 a path no benchmark workload takes.
 
 ``test_check_network`` times the whole gradient oracle on the README
-network and bars sample 0.
+network and bars sample 0, and ``test_train_epoch`` one MNIST-shaped
+``train`` epoch, recording its minor page faults.
 
 Run from the repository root with::
 
@@ -27,6 +28,7 @@ then::
     PYTHONPATH=src python -m pytest benchmarks --benchmark-disable -q
 """
 
+import resource
 import statistics
 import time
 
@@ -36,7 +38,7 @@ import pytest
 from convkit import network as nm
 from convkit import tensor
 from convkit.activations import ActivationKind, apply, derivative
-from convkit.dataio import synth_bars
+from convkit.dataio import Dataset, synth_bars
 from convkit.gradcheck import check_network
 from convkit.layers import (
     ConvGeometry,
@@ -189,15 +191,40 @@ def test_network_forward(benchmark, geometry):
 
 @pytest.mark.parametrize("geometry", WIDTHS)
 def test_network_backward(benchmark, geometry):
+    # every round adds one more copy of the gradient into the same buffer
     net, _, label, traces = network_operands(geometry)
-    benchmark(nm.backward, net, traces, label)
+    benchmark(nm.backward, net, traces, label, np.zeros_like(net.params))
 
 
 @pytest.mark.parametrize("geometry", WIDTHS)
 def test_sgd_step(benchmark, geometry):
     net, _, label, traces = network_operands(geometry)
-    grads = nm.backward(net, traces, label)
+    grads = nm.backward(net, traces, label, np.zeros_like(net.params))
     benchmark(nm.sgd_step, net, grads, 0.1)
+
+
+@pytest.mark.parametrize("geometry", ["mnist"])
+def test_train_epoch(benchmark, geometry):
+    # One train epoch (1,000 seeded 28x28 samples over 10 classes, batch
+    # 32, as in perfbench's mnist_train) per round, round after round in
+    # one process with no set-up in between. perfbench sets up before
+    # every op, so it cannot see the minor page faults that training
+    # epoch after epoch takes; extra_info records them per round, the
+    # first round cold.
+    rng = np.random.default_rng(4)
+    images = rng.uniform(0.0, 1.0, size=(1000, 1, 28, 28))
+    data = Dataset(images=images, labels=rng.permutation(1000) % 10, class_count=10)
+    net = nm.init(nm.Architecture(GEOMETRIES[geometry], POOL, WIDTHS[geometry]), 42)
+    cfg = nm.TrainConfig(learning_rate=0.05, epochs=1, batch_size=32, rng_seed=42)
+    faults = []
+
+    def epoch():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        nm.train(net, data, cfg)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+    benchmark.pedantic(epoch, rounds=5, iterations=1)
+    benchmark.extra_info["minor_faults_per_round"] = faults
 
 
 def output_operands(geometry: str):

@@ -103,16 +103,12 @@ def _decision_reads(net: net_mod.Network, first: int) -> list[tuple[int, bool]]:
 
 
 def _pattern(traces, reads: list[tuple[int, bool]]) -> bytes:
-    return b"".join([traces[k].winners.tobytes() if pool
-                     else (traces[k].preact >= 0).tobytes() for k, pool in reads])
-
-
-def _decision_pattern(net: net_mod.Network, traces, first: int) -> bytes:
-    """Branch decisions of one forward run from trace ``first`` on: ReLU
+    """Branch decisions ``reads`` names in one forward run's traces: ReLU
     signs and flat pool winner positions, as the concatenated bytes of
     their arrays. Every part has a size fixed by the network, so two runs
     made the same decisions exactly when their patterns are equal."""
-    return _pattern(traces, _decision_reads(net, first))
+    return b"".join([traces[k].winners.tobytes() if pool
+                     else (traces[k].preact >= 0).tobytes() for k, pool in reads])
 
 
 def check_network(
@@ -137,7 +133,7 @@ def check_network(
         return value, _pattern(traces, reads)
 
     _, traces = net_mod.forward(net, image)
-    analytic = net_mod.backward(net, traces, label).tolist()
+    analytic = net_mod.backward(net, traces, label, np.zeros_like(net.params)).tolist()
     params = net.params
 
     results = []

@@ -13,14 +13,14 @@ import io
 import math
 import struct
 from dataclasses import dataclass, field, replace
-from typing import BinaryIO, Iterable, NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
 from . import tensor
 from .activations import ActivationKind, apply, derivative
 from .dataio import Dataset, _opened, check_labels
-from .errors import DomainError, ParseError, ShapeError, TruncationError
+from .errors import DomainError, ParseError, ShapeError, TruncationError, UnsupportedError
 from .layers import (
     ConvGeometry,
     DenseLayer,
@@ -217,27 +217,37 @@ def _column_major(net: Network) -> Network:
     return fwd
 
 
-def backward(net: Network, traces: list[ForwardTrace], y: np.ndarray) -> np.ndarray:
-    """Gradient of the cross-entropy loss for one sample and its 0/1 target
-    vector ``y``, using the traces the matching forward call produced, laid
-    out like ``net.params``."""
+def backward(
+    net: Network, traces: list[ForwardTrace], y: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Add the cross-entropy gradient for one sample and its 0/1 target
+    vector ``y``, from the traces its forward call produced, into ``out``
+    (float64, laid out like ``net.params``) with one ``+=`` per group, and
+    return ``out``."""
     y = np.asarray(y, dtype=np.float64)
     if len(traces) != 2 + len(net.dense):
         raise ShapeError(f"expected {2 + len(net.dense)} traces, got {len(traces)}")
     if y.shape != (net.class_count,):
         raise ShapeError(f"label shape {y.shape} != ({net.class_count},)")
+    if getattr(out, "dtype", None) != np.float64 or out.shape != net.params.shape:
+        raise ShapeError(f"out must be float64 and shaped like params {net.params.shape}")
     conv_trace, pool_trace = traces[0], traces[1]
     final = traces[-1]
     yhat = apply(net.dense[-1].activation, final.preact)
     grad = ce_grad(yhat, y)
-    dense_grads: list[np.ndarray] = []
+    end = out.size  # each group's slice ends where the next group's starts
     for layer, trace in zip(reversed(net.dense), reversed(traces[2:])):
         gw, gb, grad = dense_backward(grad, layer, trace)
-        dense_grads[:0] = [gw.ravel(), gb]
+        out[end - gb.size : end] += gb
+        end -= gb.size
+        out[end - gw.size : end] += gw.ravel()
+        end -= gw.size
     grad_act = maxpool_backward(grad.reshape(pool_trace.winners.shape), pool_trace)
     grad_preact = grad_act * derivative(ActivationKind.RELU, conv_trace.preact)
     gk, gcb = conv_backward(grad_preact, conv_trace.input, net.bank)
-    return np.concatenate([gk.ravel(), gcb, *dense_grads])
+    out[end - gcb.size : end] += gcb
+    out[: gk.size] += gk.ravel()
+    return out
 
 
 def sgd_step(net: Network, grads: np.ndarray, alpha: float) -> Network:
@@ -253,31 +263,6 @@ def sgd_step(net: Network, grads: np.ndarray, alpha: float) -> Network:
     return stepped
 
 
-def _mean_grads(grads: Iterable[np.ndarray]) -> np.ndarray:
-    # A sequential sum in sample order: np.sum's pairwise order changes bits.
-    # Taking an iterable lets train add each gradient as it is computed.
-    acc, n = None, 0
-    for n, g in enumerate(grads, 1):
-        if acc is None:
-            acc = np.zeros_like(g)
-        acc += g
-    return acc / n
-
-
-def _sample_grads(
-    net: Network, fwd: Network, data: Dataset, idx: np.ndarray, target: np.ndarray
-) -> Iterable[np.ndarray]:
-    """Each sample's gradient in ``idx`` order: forward on ``fwd``, backward
-    on ``net``. ``target`` is an all-zero row that holds each sample's 0/1
-    target vector while its gradient is formed, and is zeroed again after."""
-    for i in idx:
-        label = data.labels[i]
-        target[label] = 1.0
-        grads = backward(net, forward(fwd, data.images[i])[1], target)
-        target[label] = 0.0
-        yield grads
-
-
 def _first_nonfinite_group(net: Network) -> str:
     bad = int(np.flatnonzero(~np.isfinite(net.params))[0])
     return next(name for name, sl, _ in param_groups(net) if sl.start <= bad < sl.stop)
@@ -287,7 +272,9 @@ def train(
     net: Network, data: Dataset, cfg: TrainConfig
 ) -> tuple[Network, list[EpochStats]]:
     """Mini-batch gradient descent; the batch gradient is the mean of the
-    per-sample gradients.
+    per-sample gradients. ``backward`` adds each sample's gradient, in
+    sample order, into one zeroed buffer per batch, which is then divided
+    by the batch's sample count.
 
     Shuffle order comes from a counter-based generator keyed on the seed,
     one non-overlapping stream per epoch, so runs are reproducible
@@ -300,6 +287,7 @@ def train(
     # indexes the target row below.
     check_labels(data.labels, data.class_count)
     target = np.zeros(data.class_count)
+    grads = np.empty_like(net.params)
     history: list[EpochStats] = []
     # A diverging run overflows a step before the non-finite guards below
     # stop it; they report the failure, so numpy's warnings would be noise.
@@ -312,8 +300,15 @@ def train(
                 order = rng.permutation(n)
                 for start in range(0, n, cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
-                    grads = _sample_grads(net, _column_major(net), data, idx, target)
-                    net = sgd_step(net, _mean_grads(grads), cfg.learning_rate)
+                    fwd = _column_major(net)
+                    grads.fill(0.0)
+                    for i in idx:
+                        label = data.labels[i]
+                        target[label] = 1.0
+                        backward(net, forward(fwd, data.images[i])[1], target, grads)
+                        target[label] = 0.0
+                    grads /= len(idx)
+                    net = sgd_step(net, grads, cfg.learning_rate)
                     if not np.isfinite(net.params).all():
                         raise DomainError(
                             f"epoch {epoch + 1}: parameter group "
@@ -377,7 +372,8 @@ def evaluate(net: Network, data: Dataset) -> tuple[float, float]:
 
 def save(net: Network, sink: str | BinaryIO) -> None:
     """Write the network to a path or binary stream; load() restores it
-    bit-for-bit."""
+    bit-for-bit. A dense activation ``load`` would refuse is an
+    ``UnsupportedError``, raised before any byte is written."""
     g = net.bank.geometry
     out = io.BytesIO()
     out.write(MODEL_MAGIC)
@@ -389,8 +385,12 @@ def save(net: Network, sink: str | BinaryIO) -> None:
     )
     out.write(struct.pack("<2I", net.pool.window, net.pool.stride))
     out.write(struct.pack("<I", len(net.dense)))
-    for layer in net.dense:
-        out.write(struct.pack("<IIB", layer.n_in, layer.n_out, int(layer.activation)))
+    for i, layer in enumerate(net.dense):
+        try:  # the tag may have been reassigned since the layer checked it
+            kind = ActivationKind(layer.activation)
+        except ValueError as e:
+            raise UnsupportedError(f"dense[{i}]: {e}") from e
+        out.write(struct.pack("<IIB", layer.n_in, layer.n_out, kind))
     out.write(net.params.astype("<f8").tobytes())
     blob = out.getvalue()
     if hasattr(sink, "write"):

@@ -11,7 +11,8 @@ from convkit.errors import DomainError
 from convkit.gradcheck import (
     GradReport,
     GroupResult,
-    _decision_pattern,
+    _decision_reads,
+    _pattern,
     check_network,
     relative_error,
 )
@@ -140,8 +141,8 @@ class TestDecisionPattern:
     @pytest.mark.parametrize("index", [(0, 0, 0), (1, 5, 5), (0, 3, 2)])
     def test_each_part_changes_the_pattern(self, index):
         net, traces = self.traces()
-        base = _decision_pattern(net, traces, 0)
-        assert _decision_pattern(net, [replace(t) for t in traces], 0) == base
+        base = _pattern(traces, _decision_reads(net, 0))
+        assert _pattern([replace(t) for t in traces], _decision_reads(net, 0)) == base
         conv, pool = traces[0], traces[1]
         pool_index = tuple(i % n for i, n in zip(index, pool.winners.shape))
         variants = [
@@ -156,19 +157,19 @@ class TestDecisionPattern:
             flipped = replace(t, preact=self.flip_sign(t.preact, index[-1] % t.preact.size))
             variants.append([*traces[:k], flipped, *traces[k + 1:]])
         for changed in variants:
-            assert _decision_pattern(net, changed, 0) != base
+            assert _pattern(changed, _decision_reads(net, 0)) != base
 
     def test_sigmoid_output_is_not_a_decision(self):
         net, traces = self.traces()
         last = traces[-1]
         flipped = replace(last, preact=self.flip_sign(last.preact, 0))
-        base = _decision_pattern(net, traces, 0)
-        assert _decision_pattern(net, [*traces[:-1], flipped], 0) == base
+        base = _pattern(traces, _decision_reads(net, 0))
+        assert _pattern([*traces[:-1], flipped], _decision_reads(net, 0)) == base
 
     @pytest.mark.parametrize("first", [2, 3])
     def test_pattern_starts_at_first_trace(self, first):
         net, traces = self.traces()
-        base = _decision_pattern(net, traces, first)
+        base = _pattern(traces, _decision_reads(net, first))
         conv, pool = traces[0], traces[1]
         moved = pool.winners.copy()
         moved[0, 0, 0] += 1
@@ -178,11 +179,11 @@ class TestDecisionPattern:
         ]
         for k in range(2, first):
             earlier.append(replace(traces[k], preact=self.flip_sign(traces[k].preact, 0)))
-        assert _decision_pattern(net, [*earlier, *traces[first:]], first) == base
+        assert _pattern([*earlier, *traces[first:]], _decision_reads(net, first)) == base
         t = traces[first]
         flipped = replace(t, preact=self.flip_sign(t.preact, 0))
         changed = [*traces[:first], flipped, *traces[first + 1:]]
-        assert _decision_pattern(net, changed, first) != base
+        assert _pattern(changed, _decision_reads(net, first)) != base
 
 
 def full_decision_pattern(net, traces):
@@ -209,7 +210,7 @@ def full_pattern_check_network(net, sample, threshold=1e-6, h_rel=1e-5):
         return value, full_decision_pattern(net, traces)
 
     _, traces = nm.forward(net, image)
-    analytic = nm.backward(net, traces, label).tolist()
+    analytic = nm.backward(net, traces, label, np.zeros_like(net.params)).tolist()
     params = net.params
     results = []
     for name, group, shape in nm.param_groups(net):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -845,7 +846,10 @@ class TestConvKernelGroups:
         images = self.images(rng, g)
         h1, w1, d1 = g.output_dims
         for image, mixed_nans in images:
-            self.check(image, bank, rng.standard_normal((d1, h1, w1)), mixed_nans)
+            # inf - inf is NaN in the images with infinities, by design
+            infinite = np.isinf(image).any()
+            with np.errstate(invalid="ignore") if infinite else contextlib.nullcontext():
+                self.check(image, bank, rng.standard_normal((d1, h1, w1)), mixed_nans)
         sizes = [min(group, d1 - k) for k in range(0, d1, group)]
         passes = 2 if g.stride == 1 else 1
         assert len(sizes) > 1 and seen == sizes * passes * len(images)

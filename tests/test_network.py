@@ -16,6 +16,7 @@ from convkit.errors import (
     ParseError,
     ShapeError,
     TruncationError,
+    UnsupportedError,
 )
 from convkit.layers import (
     ConvGeometry,
@@ -28,6 +29,7 @@ from convkit.layers import (
 )
 from convkit.losses import LossKind, loss
 from test_dataio import CountingStream
+from test_golden import README_ARCH, TWO_CHANNEL_ARCH, Samples
 
 FIXTURE_ARCH = nm.Architecture(
     conv=ConvGeometry(8, 8, 1, 3, 3, 2),
@@ -275,7 +277,7 @@ class TestBackward:
         y = np.array([1.0, 0.0])
         yhat, traces = nm.forward(net, image)
         assert np.array_equal(yhat, y)
-        grads = nm.backward(net, traces, y)
+        grads = nm.backward(net, traces, y, np.zeros_like(net.params))
         assert grads.shape == net.params.shape
         assert np.max(np.abs(grads)) <= 1e-9
 
@@ -284,7 +286,7 @@ class TestBackward:
             net = fixture_net(seed)
             image, label = random_sample(seed)
             _, traces = nm.forward(net, image)
-            grads = nm.backward(net, traces, label)
+            grads = nm.backward(net, traces, label, np.zeros_like(net.params))
 
             def scalar():
                 yhat, _ = nm.forward(net, image)
@@ -361,7 +363,7 @@ class TestBackward:
         for _ in range(8):
             net, image, label = random_net()
             _, traces = nm.forward(net, image)
-            grads = nm.backward(net, traces, label)
+            grads = nm.backward(net, traces, label, np.zeros_like(net.params))
             params = net.params
             for idx in range(params.size):
                 theta = params[idx]
@@ -384,22 +386,36 @@ class TestBackward:
                 else:
                     assert abs(a - numeric) / scale <= 1e-6
 
-    def test_batch_mean_unchanged_by_duplication(self):
+    def test_adds_into_out(self):
         net = fixture_net(13)
         image, label = random_sample(13)
         _, traces = nm.forward(net, image)
-        g = nm.backward(net, traces, label)
-        single = nm._mean_grads([g])
-        doubled = nm._mean_grads([g, g])
-        assert single.shape == net.params.shape
-        assert np.max(np.abs(single - doubled)) <= 1e-12
+        g = nm.backward(net, traces, label, np.zeros_like(net.params))
+        out0 = np.random.default_rng(13).standard_normal(net.params.shape)
+        out = out0.copy()
+        assert nm.backward(net, traces, label, out) is out
+        assert out.tobytes() == (out0 + g).tobytes()
+
+    def test_bad_out_refused_before_adding(self):
+        net = fixture_net(13)
+        image, label = random_sample(13)
+        _, traces = nm.forward(net, image)
+        n = net.params.size
+        for out in (np.arange(n + 1.0), np.arange(n - 1.0), np.arange(1.0 * n).reshape(1, n),
+                    np.arange(n), np.arange(n, dtype=np.float32)):
+            before = out.tobytes()
+            with pytest.raises(ShapeError, match="out must be float64"):
+                nm.backward(net, traces, label, out)
+            assert out.tobytes() == before
+        with pytest.raises(ShapeError, match="out must be float64"):
+            nm.backward(net, traces, label, [0.0] * n)
 
     def test_label_shape_mismatch(self):
         net = fixture_net(14)
         image, _ = random_sample(14)
         _, traces = nm.forward(net, image)
         with pytest.raises(ShapeError):
-            nm.backward(net, traces, np.array([1.0, 0.0, 0.0]))
+            nm.backward(net, traces, np.array([1.0, 0.0, 0.0]), np.zeros_like(net.params))
 
 
 class TestSgdStep:
@@ -453,10 +469,10 @@ class TestSgdStep:
                     for img, lab in batch
                 ) / len(batch)
 
-            grads = nm._mean_grads([
-                nm.backward(net, nm.forward(net, img)[1], lab)
-                for img, lab in batch
-            ])
+            grads = np.zeros_like(net.params)
+            for img, lab in batch:
+                nm.backward(net, nm.forward(net, img)[1], lab, grads)
+            grads /= len(batch)
             norm = math.sqrt(float(np.sum(grads * grads)))
             if norm <= 1e-8:
                 continue
@@ -515,6 +531,57 @@ class TestTrain:
         cfg = nm.TrainConfig(learning_rate=1e200, epochs=1, batch_size=8, rng_seed=5)
         with pytest.raises(DomainError, match="epoch 1: training loss went non-finite"):
             nm.train(fixture_net(33), data, cfg)
+
+
+def reference_train(net, data, cfg):
+    """``train``'s loop before ``backward`` added into a caller's buffer,
+    kept as the reference: a fresh gradient vector per sample, added in
+    sample order into a ``zeros_like`` accumulator, then divided by the
+    batch's sample count."""
+    n, history = len(data.images), []
+    for epoch in range(cfg.epochs):
+        rng = np.random.Generator(np.random.Philox(key=cfg.rng_seed, counter=epoch * (1 << 64)))
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            fwd, acc, count = nm._column_major(net), None, 0
+            for count, i in enumerate(order[start : start + cfg.batch_size], 1):
+                target = one_hot(data.labels[i], data.class_count)
+                g = nm.backward(net, nm.forward(fwd, data.images[i])[1], target,
+                                np.zeros_like(net.params))
+                if acc is None:
+                    acc = np.zeros_like(g)
+                acc += g
+            net = nm.sgd_step(net, acc / count, cfg.learning_rate)
+        history.append(nm.EpochStats(epoch + 1, *nm.evaluate(net, data)))
+    return net, history
+
+
+def two_channel_samples(n=10, seed=2027):
+    rng = np.random.default_rng(seed)
+    return Samples(rng.uniform(0.0, 1.0, size=(n, 2, 8, 8)), rng.permutation(n) % 3, 3)
+
+
+# (architecture, data, epochs, batch size): the README run at full batch,
+# single-sample batches, a ragged last batch (3, 3, 2), and the 2-channel
+# pad=1 net with a ragged last batch (4, 4, 2) over two epochs.
+REFERENCE_TRAIN_CASES = {
+    "readme-full-batch": (README_ARCH, lambda: synth_bars(200, 8, 8, seed=42), 2, 200),
+    "readme-batch-1": (README_ARCH, lambda: synth_bars(8, 8, 8, seed=5), 2, 1),
+    "readme-batch-3-of-8": (README_ARCH, lambda: synth_bars(8, 8, 8, seed=5), 2, 3),
+    "two-channel-pad1": (TWO_CHANNEL_ARCH, two_channel_samples, 2, 4),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_TRAIN_CASES)
+def test_train_matches_reference_batch_sum(case):
+    arch, dataset, epochs, batch_size = REFERENCE_TRAIN_CASES[case]
+    data = dataset()
+    cfg = nm.TrainConfig(learning_rate=0.05, epochs=epochs, batch_size=batch_size,
+                         rng_seed=42)
+    net, history = nm.train(nm.init(arch, 42), data, cfg)
+    want_net, want_history = reference_train(nm.init(arch, 42), data, cfg)
+    assert net.params.tobytes() == want_net.params.tobytes()
+    assert history == want_history
 
 
 def refuse_forward(*args):
@@ -741,6 +808,22 @@ class TestSaveLoad:
         message = rf"dense\[{layer}\] has unknown activation tag {tag}$"
         with pytest.raises(ParseError, match=message):
             nm.load(io.BytesIO(bytes(blob)))
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("tag", [1, 3, 255])
+    def test_save_refuses_a_tag_load_refuses(self, layer, tag, tmp_path):
+        # the layer checked its activation when it was built, not since
+        net = fixture_net(38)
+        net.dense[layer].activation = tag
+        message = rf"dense\[{layer}\]: {tag} is not a valid ActivationKind"
+        buf = io.BytesIO()
+        with pytest.raises(UnsupportedError, match=message):
+            nm.save(net, buf)
+        assert buf.getvalue() == b""
+        path = tmp_path / "model.cnnf"
+        with pytest.raises(UnsupportedError, match=message):
+            nm.save(net, str(path))
+        assert not path.exists()
 
     def test_inconsistent_geometry_rejected(self):
         net = fixture_net(29)
