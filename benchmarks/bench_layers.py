@@ -8,8 +8,8 @@ padded 2-channel bars geometry (8x8x2 input, 6 kernels of 3x3, pad 1),
 a path no benchmark workload takes.
 
 ``test_check_network`` times the whole gradient oracle on the README
-network and bars sample 0, and ``test_train_epoch`` one MNIST-shaped
-``train`` epoch, recording its minor page faults.
+network and bars sample 0, and ``test_train_epoch`` one ``train`` epoch
+on bars and on an MNIST-shaped set, recording its minor page faults.
 
 Run from the repository root with::
 
@@ -203,19 +203,29 @@ def test_sgd_step(benchmark, geometry):
     benchmark(nm.sgd_step, net, grads, 0.1)
 
 
-@pytest.mark.parametrize("geometry", ["mnist"])
-def test_train_epoch(benchmark, geometry):
-    # One train epoch (1,000 seeded 28x28 samples over 10 classes, batch
-    # 32, as in perfbench's mnist_train) per round, round after round in
-    # one process with no set-up in between. perfbench sets up before
-    # every op, so it cannot see the minor page faults that training
-    # epoch after epoch takes; extra_info records them per round, the
-    # first round cold.
+def epoch_operands(geometry: str):
+    """The training set, batch size, learning rate and round count of one
+    ``train`` epoch: bars as perfbench's bars_train trains it (200 bars
+    samples, full batch, alpha 0.05), and 1,000 seeded 28x28 samples over
+    10 classes at batch 32, as in mnist_train."""
+    if geometry == "bars":
+        return synth_bars(200, 8, 8, seed=42), 200, 0.05, 50
     rng = np.random.default_rng(4)
     images = rng.uniform(0.0, 1.0, size=(1000, 1, 28, 28))
     data = Dataset(images=images, labels=rng.permutation(1000) % 10, class_count=10)
+    return data, 32, 0.05, 5
+
+
+@pytest.mark.parametrize("geometry", WIDTHS)
+def test_train_epoch(benchmark, geometry):
+    # One train epoch per round, round after round in one process with no
+    # set-up in between: on bars, the whole per-sample path. perfbench sets
+    # up before every op, so it cannot see the minor page faults that
+    # training epoch after epoch takes; extra_info records them per round,
+    # the first round cold.
+    data, batch_size, alpha, rounds = epoch_operands(geometry)
     net = nm.init(nm.Architecture(GEOMETRIES[geometry], POOL, WIDTHS[geometry]), 42)
-    cfg = nm.TrainConfig(learning_rate=0.05, epochs=1, batch_size=32, rng_seed=42)
+    cfg = nm.TrainConfig(learning_rate=alpha, epochs=1, batch_size=batch_size, rng_seed=42)
     faults = []
 
     def epoch():
@@ -223,7 +233,7 @@ def test_train_epoch(benchmark, geometry):
         nm.train(net, data, cfg)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
-    benchmark.pedantic(epoch, rounds=5, iterations=1)
+    benchmark.pedantic(epoch, rounds=rounds, iterations=1)
     benchmark.extra_info["minor_faults_per_round"] = faults
 
 

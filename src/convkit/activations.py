@@ -9,6 +9,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ShapeError, UnsupportedError
+from .tensor import F64, ONE, ZERO
 
 
 class ActivationKind(IntEnum):
@@ -24,12 +25,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # and e itself below, from the same exp of the same input; it is a
     # cheaper select than np.where(z >= 0, 1.0, e), with the same bits.
     e = np.exp(np.minimum(z, -z))
-    return np.exp(np.minimum(z, 0.0)) / (1.0 + e)
+    return np.exp(np.minimum(z, ZERO)) / (ONE + e)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Normalize the rank-1 vector ``z`` to probabilities."""
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=F64)
     if z.ndim != 1:
         raise ShapeError(f"softmax expects rank 1, got rank {z.ndim}")
     # Max-subtraction changes nothing analytically but keeps exp finite.
@@ -39,10 +40,10 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 def apply(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
     """Apply the activation elementwise."""
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=F64)
     # init builds ReLU and sigmoid layers, most of them ReLU: test that first.
     if kind == ActivationKind.RELU:
-        return np.maximum(0.0, z)
+        return np.maximum(ZERO, z)
     if kind == ActivationKind.SIGMOID:
         return _sigmoid(z)
     raise UnsupportedError(f"unknown activation {kind!r}")
@@ -53,11 +54,11 @@ def derivative(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
 
     ReLU takes the right-hand branch at z == 0 (slope 1).
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=F64)
     if kind == ActivationKind.RELU:
         # The cast gives np.where(z >= 0, 1.0, 0.0)'s bits: 1.0 at +-0, 0.0 at NaN.
-        return (z >= 0).astype(np.float64)
+        return (z >= ZERO).astype(F64)
     if kind == ActivationKind.SIGMOID:
         s = _sigmoid(z)
-        return s * (1.0 - s)
+        return s * (ONE - s)
     raise UnsupportedError(f"unknown activation {kind!r}")

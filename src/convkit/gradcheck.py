@@ -26,6 +26,7 @@ from .activations import ActivationKind
 from .dataio import one_hot
 from .errors import DomainError
 from .losses import LossKind, loss
+from .tensor import ZERO
 
 # Relative perturbation step of the central differences.
 H_REL = 1e-5
@@ -41,8 +42,11 @@ def relative_error(analytic: float, numeric: float) -> float:
     """|a - n| / max(|a|, |n|, 1e-8), except that near-zero gradient pairs
     (both below 3e-5) pass on |a - n| <= 1e-9 instead; a near-zero pair
     violating the absolute bound reports an error that fails any sane
-    threshold."""
+    threshold. A pair whose |a - n| is not finite reports inf, so it fails
+    and is its group's max; ``max`` would skip a NaN."""
     diff = abs(analytic - numeric)
+    if not math.isfinite(diff):
+        return math.inf
     scale = max(abs(analytic), abs(numeric))
     if scale <= NEAR_ZERO_SCALE:
         return 0.0 if diff <= NEAR_ZERO_ABS else diff / REL_ERR_FLOOR
@@ -108,7 +112,7 @@ def _pattern(traces, reads: list[tuple[int, bool]]) -> bytes:
     their arrays. Every part has a size fixed by the network, so two runs
     made the same decisions exactly when their patterns are equal."""
     return b"".join([traces[k].winners.tobytes() if pool
-                     else (traces[k].preact >= 0).tobytes() for k, pool in reads])
+                     else (traces[k].preact >= ZERO).tobytes() for k, pool in reads])
 
 
 def check_network(

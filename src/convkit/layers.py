@@ -302,7 +302,7 @@ def conv_forward(
     Returns the pre-activation feature maps, the ReLU maps, and the trace
     caching the input image and pre-activation.
     """
-    image = np.ascontiguousarray(image, dtype=np.float64)
+    image = np.ascontiguousarray(image, dtype=tensor.F64)
     g = bank.geometry
     if image.shape != (g.in_c, g.in_h, g.in_w):
         raise ShapeError(f"image shape {image.shape} != {(g.in_c, g.in_h, g.in_w)}")
@@ -332,7 +332,7 @@ def maxpool_forward(
     row is exactly the tie-break contract. A winner is the cached
     per-entry part at the argmax plus the output's per-output part.
     """
-    act = np.asarray(act, dtype=np.float64)
+    act = np.asarray(act, dtype=tensor.F64)
     if act.ndim != 3:
         raise ShapeError(f"maxpool expects rank 3, got rank {act.ndim}")
     rows, per_entry, per_output, pooled_shape = _pool_windows(act.shape, g)
@@ -350,7 +350,7 @@ def maxpool_backward(grad_pooled: np.ndarray, trace: ForwardTrace) -> np.ndarray
     One ``np.bincount`` over the flat winners adds the gradients in pooled
     row-major order into sums started at 0.0.
     """
-    grad_pooled = np.asarray(grad_pooled, dtype=np.float64)
+    grad_pooled = np.asarray(grad_pooled, dtype=tensor.F64)
     if trace.winners is None:
         raise ShapeError("trace does not come from maxpool_forward")
     if grad_pooled.shape != trace.winners.shape:
@@ -378,8 +378,8 @@ def conv_backward(
     g = bank.geometry
     if g.stride != 1:
         raise UnsupportedError("conv backward supports stride 1 only")
-    image = np.ascontiguousarray(image, dtype=np.float64)
-    grad_preact = np.asarray(grad_preact, dtype=np.float64)
+    image = np.ascontiguousarray(image, dtype=tensor.F64)
+    grad_preact = np.asarray(grad_preact, dtype=tensor.F64)
     if image.shape != (g.in_c, g.in_h, g.in_w):
         raise ShapeError(f"image shape {image.shape} != {(g.in_c, g.in_h, g.in_w)}")
     h1, w1, d1 = g.output_dims
@@ -402,7 +402,7 @@ def dense_forward(
     a_prev: np.ndarray, layer: DenseLayer
 ) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
     """z = W a_prev + b, a = activation(z); trace caches a_prev and z."""
-    a_prev = np.asarray(a_prev, dtype=np.float64)
+    a_prev = np.asarray(a_prev, dtype=tensor.F64)
     if a_prev.ndim != 1 or a_prev.shape[0] != layer.n_in:
         raise ShapeError(f"input shape {a_prev.shape} != ({layer.n_in},)")
     z = tensor.matvec(layer.weights, a_prev)
@@ -420,7 +420,7 @@ def dense_backward(
     product delta x a_prev, bias gradient is delta, and the gradient
     passed to the previous layer is W^T delta.
     """
-    grad_a = np.asarray(grad_a, dtype=np.float64)
+    grad_a = np.asarray(grad_a, dtype=tensor.F64)
     if trace.preact is None:
         raise ShapeError("trace does not come from dense_forward")
     if grad_a.shape != (layer.n_out,):

@@ -11,9 +11,15 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .tensor import F64, ONE
 
 # Clamp bound for cross-entropy logs and divisions; log(0) never happens.
 CE_EPS = 1e-12
+# The clamp's bounds and ce_grad's -1, read-only 0-d arrays like tensor.ONE.
+CE_LO = np.array(CE_EPS)
+CE_HI = np.array(1.0 - CE_EPS)
+MINUS_ONE = np.array(-1.0)
+CE_LO.flags.writeable = CE_HI.flags.writeable = MINUS_ONE.flags.writeable = False
 
 
 class LossKind(Enum):
@@ -27,8 +33,8 @@ class LossKind(Enum):
 
 
 def _check_pair(yhat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    yhat = np.asarray(yhat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    yhat = np.asarray(yhat, dtype=F64)
+    y = np.asarray(y, dtype=F64)
     if yhat.ndim != 1 or y.ndim != 1:
         raise ShapeError("loss expects rank-1 prediction and label vectors")
     if yhat.shape != y.shape:
@@ -44,7 +50,7 @@ def _label_mask(y: np.ndarray) -> np.ndarray:
     The check compares counts: NaN, +-inf and every value other than +-0
     and 1 are nonzero, so the counts differ exactly when some label is
     neither 0 nor 1."""
-    mask = y == 1.0
+    mask = y == ONE
     if np.count_nonzero(y) != np.count_nonzero(mask):
         raise DomainError("cross-entropy labels must be exactly 0 or 1")
     return mask
@@ -56,11 +62,11 @@ def loss(kind: LossKind, yhat: np.ndarray, y: np.ndarray) -> float:
     t = y.shape[0]
     if kind == LossKind.CROSS_ENTROPY:
         mask = _label_mask(y)
-        yc = np.minimum(np.maximum(yhat, CE_EPS), 1.0 - CE_EPS)
+        yc = np.minimum(np.maximum(yhat, CE_LO), CE_HI)
         # One log per component: the other label's term is +-0 * a finite
         # log, so dropping it leaves every term's bits unchanged. Negating
         # the sum, not each log, is exact: the pairwise sum is sign-symmetric.
-        return -float(np.log(np.where(mask, yc, 1.0 - yc)).sum()) / t
+        return -float(np.log(np.where(mask, yc, ONE - yc)).sum()) / t
     if kind == LossKind.MSE:
         return float(np.sum((y - yhat) ** 2) / t)
     if kind == LossKind.MSLE:
@@ -91,5 +97,5 @@ def ce_grad(yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
     yhat, y = _check_pair(yhat, y)
     mask = _label_mask(y)
     t = y.shape[0]
-    yc = np.minimum(np.maximum(yhat, CE_EPS), 1.0 - CE_EPS)
-    return np.where(mask, -1.0 / yc, 1.0 / (1.0 - yc)) / t
+    yc = np.minimum(np.maximum(yhat, CE_LO), CE_HI)
+    return np.where(mask, MINUS_ONE / yc, ONE / (ONE - yc)) / t

@@ -224,7 +224,7 @@ def backward(
     vector ``y``, from the traces its forward call produced, into ``out``
     (float64, laid out like ``net.params``) with one ``+=`` per group, and
     return ``out``."""
-    y = np.asarray(y, dtype=np.float64)
+    y = np.asarray(y, dtype=tensor.F64)
     if len(traces) != 2 + len(net.dense):
         raise ShapeError(f"expected {2 + len(net.dense)} traces, got {len(traces)}")
     if y.shape != (net.class_count,):
@@ -253,8 +253,8 @@ def backward(
 def sgd_step(net: Network, grads: np.ndarray, alpha: float) -> Network:
     """One plain gradient-descent update, theta <- theta - alpha * grad, into
     a new network; ``net`` is left untouched."""
-    if alpha <= 0:
-        raise DomainError(f"learning rate must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise DomainError(f"learning rate must be finite and > 0, got {alpha}")
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != net.params.shape:
         raise ShapeError(f"gradient shape {grads.shape} != params {net.params.shape}")

@@ -31,6 +31,14 @@ MAX_BYTES = 1 << 30
 # time, each group as many kernels as fit, and at least one.
 SLAB_BYTES = 1 << 17
 
+# numpy converts a Python scalar operand, or a dtype given as its type, on
+# every call; a 0-d float64 array or a dtype instance skips that work with
+# the same bits. Read-only: every caller on the per-sample path shares them.
+F64 = np.dtype(np.float64)
+ZERO = np.array(0.0)
+ONE = np.array(1.0)
+ZERO.flags.writeable = ONE.flags.writeable = False
+
 
 def check_bytes(arrays: dict[str, int]) -> None:
     """Raise ``ShapeError`` naming the first array whose size in bytes,
@@ -65,8 +73,8 @@ def matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     accumulator starts at the row's first product, and deterministic
     across runs.
     """
-    w = np.asarray(w, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
+    w = np.asarray(w, dtype=F64)
+    a = np.asarray(a, dtype=F64)
     if w.ndim != 2 or a.ndim != 1:
         raise ShapeError(f"matvec expects rank-2 by rank-1, got {w.ndim} by {a.ndim}")
     if w.shape[1] != a.shape[0]:

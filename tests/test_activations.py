@@ -166,3 +166,27 @@ class TestSigmoidBits:
     def test_no_overflow_warning(self):
         with np.errstate(over="raise"):
             apply(ActivationKind.SIGMOID, np.array([-800.0, 800.0, -np.inf, np.inf]))
+
+
+# z in other forms. Each is converted to float64 before any 0-d float64
+# constant touches it: under NEP 50 such a constant promotes as a strong
+# type where a Python float is weak, so an unconverted float32 z would mix
+# float32 and float64 results.
+Z_FORMS = {
+    "float32": np.array([-40.0, -3.5, -0.0, 0.0, 0.1, 2.0, 40.0], dtype=np.float32),
+    "int64": np.array([-40, -3, 0, 1, 2, 40]),
+    "list": [-40.0, -3.5, -0.0, 0.0, 0.1, 2.0, 40.0],
+    "0-d": np.array(-0.1, dtype=np.float32),
+}
+
+
+class TestInputConversion:
+    @pytest.mark.parametrize("form", Z_FORMS)
+    @pytest.mark.parametrize("kind", list(ActivationKind))
+    @pytest.mark.parametrize("fn", [apply, derivative])
+    def test_same_bytes_as_float64_conversion(self, fn, kind, form):
+        z = Z_FORMS[form]
+        got = np.asarray(fn(kind, z))
+        want = np.asarray(fn(kind, np.asarray(z, dtype=np.float64)))
+        assert got.dtype == np.float64 and got.shape == np.shape(z)
+        assert got.tobytes() == want.tobytes()

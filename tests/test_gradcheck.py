@@ -55,6 +55,13 @@ class TestRelativeError:
     def test_near_zero_pair_with_large_gap_fails(self):
         assert relative_error(0.0, 5e-6) > 1.0
 
+    @pytest.mark.parametrize("analytic, numeric", [
+        (math.nan, 1.0), (1.0, math.nan), (math.nan, 0.0), (math.inf, 1.0),
+        (-math.inf, 0.0), (1.0, math.inf)])
+    def test_non_finite_pair_reports_inf(self, analytic, numeric):
+        # A NaN error would be skipped by the group's max and pass.
+        assert relative_error(analytic, numeric) == math.inf
+
 
 class TestCheckNetwork:
     def test_passes_on_fixture(self):

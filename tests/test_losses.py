@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convkit.errors import DomainError, ShapeError
-from convkit.losses import CE_EPS, LossKind, ce_grad, loss
+from convkit.losses import CE_EPS, CE_HI, CE_LO, MINUS_ONE, LossKind, ce_grad, loss
 
 ALL_KINDS = list(LossKind)
 
@@ -267,3 +267,45 @@ class TestLabelCheck:
         want = elementwise_binary(y)
         assert self.accepts(ce_grad, yhat, y) is want
         assert self.accepts(lambda a, b: loss(LossKind.CROSS_ENTROPY, a, b), yhat, y) is want
+
+
+class TestConstants:
+    def test_read_only_float64(self):
+        for c, value in ((CE_LO, CE_EPS), (CE_HI, 1.0 - CE_EPS), (MINUS_ONE, -1.0)):
+            assert c.shape == () and c.dtype == np.float64
+            assert c.tobytes() == np.float64(value).tobytes()
+            with pytest.raises(ValueError):
+                c[...] = 0.5
+
+
+# The cross-entropy inputs in other forms. Each is converted to float64
+# before any 0-d float64 constant touches it: under NEP 50 such a constant
+# promotes as a strong type where a Python float is weak, so an unconverted
+# float32 input would mix float32 and float64 results.
+CE_FORMS = {
+    "float32": (np.array([0.1, 0.7, 0.95, 0.3], dtype=np.float32),
+                np.array([0, 1, 1, 0], dtype=np.float32)),
+    "int64": (np.array([0, 1, 2, -1]), np.array([0, 1, 0, 1])),
+    "list": ([0.1, 0.7, 1e-13, 1.0], [0, 1, 1, 0]),
+}
+
+
+class TestInputConversion:
+    @pytest.mark.parametrize("form", CE_FORMS)
+    def test_same_bytes_as_float64_conversion(self, form):
+        yhat, y = CE_FORMS[form]
+        yhat64, y64 = np.asarray(yhat, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        got = loss(LossKind.CROSS_ENTROPY, yhat, y)
+        assert np.float64(got).tobytes() == np.float64(
+            loss(LossKind.CROSS_ENTROPY, yhat64, y64)).tobytes()
+        grad = ce_grad(yhat, y)
+        assert grad.dtype == np.float64
+        assert grad.tobytes() == ce_grad(yhat64, y64).tobytes()
+
+    def test_zero_d_input_refused(self):
+        # rank 1 is required, so a 0-d input fails however it is given
+        for yhat in (np.array(0.5, dtype=np.float32), np.array(0.5)):
+            with pytest.raises(ShapeError):
+                loss(LossKind.CROSS_ENTROPY, yhat, np.array(1.0))
+            with pytest.raises(ShapeError):
+                ce_grad(yhat, np.array(1.0))

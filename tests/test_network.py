@@ -448,6 +448,14 @@ class TestSgdStep:
         assert np.allclose(net.bank.kernels, expected, rtol=1e-12, atol=1e-300)
         assert np.max(np.abs(net.bank.kernels)) < np.max(np.abs(start))
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_learning_rate_refused(self, alpha):
+        net = fixture_net(17)
+        before = net.params.copy()
+        with pytest.raises(DomainError, match="learning rate must be finite and > 0"):
+            nm.sgd_step(net, np.ones_like(net.params), alpha)
+        assert net.params.tobytes() == before.tobytes()
+
     def test_mirror_mismatch_rejected(self):
         # one kernel's worth of gradient too many, too few, or the wrong rank
         net = fixture_net(17)

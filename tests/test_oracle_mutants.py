@@ -9,8 +9,11 @@ names the samples, per net, on which it must be reported, and exactly
 the parameter groups that fail there. A mutant caught on all four probe
 samples of a net is checked on one of them. The equivalent mutants are
 listed with the reason no single-sample oracle can see them, and must
-pass.
+pass. A mutant writing a NaN and an infinity into two gradients must fail
+exactly their two groups, each with its argmax at the bad coordinate.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +131,19 @@ def conv_activation_derivative_dropped():
     return [(nm, "derivative", derivative)]
 
 
+def dense0_grads_non_finite():
+    # dense[0] is the README net's only dense layer with 32 outputs
+    def dense_backward(grad_a, layer, trace):
+        gw, gb, ga = real_dense_backward(grad_a, layer, trace)
+        if layer.n_out == 32:
+            gw, gb = gw.copy(), gb.copy()
+            gw[0, 5] = np.nan
+            gb[3] = np.inf
+        return gw, gb, ga
+
+    return [(nm, "dense_backward", dense_backward)]
+
+
 # name: (patches, {net: {sample: the groups that fail there}}). The probe
 # ran every mutant on README samples 0, 1, 198 and 199 (classes 0, 0, 1,
 # 1) and padded samples 0-3 (classes 0, 1, 2, 1). Each caught mutant
@@ -210,3 +226,16 @@ class TestMutantTable:
 
     def test_table_covers_every_probe_mutant(self):
         assert len(CAUGHT.keys() | EQUIVALENT.keys()) == 12
+
+
+def test_non_finite_gradients_fail_at_their_coordinates(monkeypatch):
+    with monkeypatch.context() as m:
+        for module, name, fn in dense0_grads_non_finite():
+            m.setattr(module, name, fn)
+        report = check_network(*readme_net(0))
+    failed = {g.group: g for g in report.groups if not g.passed}
+    assert set(failed) == {"dense[0].W", "dense[0].b"}
+    assert failed["dense[0].W"].argmax_coord == (0, 5)
+    assert failed["dense[0].b"].argmax_coord == (3,)
+    assert all(g.max_rel_err == math.inf for g in failed.values())
+    assert not report.passed

@@ -61,6 +61,17 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+class TestConstants:
+    def test_zero_and_one_read_only_float64(self):
+        for c, value in ((tensor.ZERO, 0.0), (tensor.ONE, 1.0)):
+            assert c.shape == () and c.dtype == tensor.F64 == np.float64
+            assert c.tobytes() == np.float64(value).tobytes()  # ZERO is +0.0
+            with pytest.raises(ValueError):
+                c[...] = 5.0
+            with pytest.raises(ValueError):
+                np.add(c, 1.0, out=c)
+
+
 class TestRot180:
     def test_small_by_hand(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
