@@ -231,10 +231,16 @@ def _write_outputs(outputs: list[tuple[str, Callable[[BinaryIO], object]]]) -> N
         raise
 
 
-def _check_distinct_outputs(model_path: str, csv_path: str) -> None:
-    """Refuse ``out.model`` and ``out.csv`` naming one file: the CSV would
-    replace the model. Paths that resolve alike name one file, and so do
-    two existing paths to one inode (hard links)."""
+def _check_outputs(model_path: str, csv_path: str) -> None:
+    """Refuse an ``out.model`` or ``out.csv`` that names a directory: its
+    file could not be moved into place, and the rollback would then unlink
+    the other output, already moved over the user's old file. Refuse the
+    two naming one file: the CSV would replace the model. Paths that
+    resolve alike name one file, and so do two existing paths to one
+    inode (hard links)."""
+    for key, path in (("out.model", model_path), ("out.csv", csv_path)):
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write output: {key!r} ({path}) is a directory")
     same = os.path.realpath(model_path) == os.path.realpath(csv_path)
     if not same:
         with contextlib.suppress(OSError):
@@ -256,7 +262,7 @@ def cmd_train(config_path: str) -> int:
     )
     model_path = cfg.require("out.model")
     csv_path = cfg.require("out.csv")
-    _check_distinct_outputs(model_path, csv_path)
+    _check_outputs(model_path, csv_path)
     net, data = _network_and_data(cfg)
     net, history = net_mod.train(net, data, train_cfg)
     # All computation succeeded; only now touch the filesystem.

@@ -17,7 +17,7 @@ read the parameter, so both runs make their decisions alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,11 +121,11 @@ def check_network(
     """Compare backward() against central differences of the cross-entropy
     loss for every parameter, on one (image, class index) sample.
 
-    Each entry of ``net.params`` is perturbed by h = H_REL * max(1, |theta|)
-    and restored exactly afterwards; the report carries one row per
-    ``param_groups`` entry.
-    Not safe to run concurrently on one network instance.
+    Each parameter is perturbed by h = H_REL * max(1, |theta|) in a copy
+    of ``net``, so ``net`` itself is never written; the report carries one
+    row per ``param_groups`` entry.
     """
+    net = replace(net)
     image, index = sample
     label = one_hot(index, net.class_count)
 
@@ -152,13 +152,11 @@ def check_network(
             # Python floats give the float64 scalars' IEEE results.
             theta = float(params[idx])
             h = H_REL * max(1.0, abs(theta))
-            try:
-                params[idx] = theta + h
-                loss_hi, pat_hi = run(reads)
-                params[idx] = theta - h
-                loss_lo, pat_lo = run(reads)
-            finally:
-                params[idx] = theta
+            params[idx] = theta + h
+            loss_hi, pat_hi = run(reads)
+            params[idx] = theta - h
+            loss_lo, pat_lo = run(reads)
+            params[idx] = theta
             if pat_hi != pat_lo:
                 n_excluded += 1
                 continue

@@ -14,10 +14,11 @@ Conventions fixed here once:
   laid out contiguously in row-major (i, j) order. The bias gradient
   ``db[p]`` is likewise one pairwise sum over the h1*w1 values of
   ``grad[p]``, in row-major (i, j) order.
-* Both conv passes form their products one kernel group at a time: as
-  many kernels as fit ``tensor.SLAB_BYTES``, at least one. A group only
-  decides which kernels' products are in memory together, never the
-  order of a sum; a bank that fits one group is summed in one pass.
+* Both conv passes form their products one kernel group at a time, and
+  ``_by_kernel_group`` alone picks the groups: as many kernels as fit
+  ``tensor.SLAB_BYTES``, at least one. A group only decides which
+  kernels' products are in memory together, never the order of a sum; a
+  bank that fits one group is summed in one pass.
 * Dense weights are (n_out, n_in) with z = W a + b. Both ``W a`` and
   the backward ``W^T delta`` sum in ascending index order (over j and
   over i respectively) with one accumulator per output element, through
@@ -257,26 +258,37 @@ def _pool_windows(shape: tuple[int, int, int], g: PoolGeometry):
 def _taps(image: np.ndarray, g: ConvGeometry) -> np.ndarray:
     """(n_taps, h1*w1) gather of the zero-padded (channels, H, W) image:
     row t holds the inputs tap t = (c, u, v) multiplies, in row-major
-    (i, j) output order. A new array: no view of the image or the table."""
+    (i, j) output order. The image is converted to float64 and checked
+    against the geometry first. A new array: no view of the image or the
+    table."""
+    image = np.ascontiguousarray(image, dtype=tensor.F64)
+    if image.shape != (g.in_c, g.in_h, g.in_w):
+        raise ShapeError(f"image shape {image.shape} != {(g.in_c, g.in_h, g.in_w)}")
     if g.pad:
         image = np.pad(image, ((0, 0), (g.pad, g.pad), (g.pad, g.pad)))
     return image.take(_window_table(image.shape, (g.in_c, g.k_h, g.k_w), g.stride))
 
 
-def _kernel_group(taps: np.ndarray) -> int:
-    """Kernels whose products fit ``tensor.SLAB_BYTES``, at least one. A
-    kernel's products, forward or backward, are one product per tap
-    entry, so they take ``taps.nbytes``."""
-    return max(1, tensor.SLAB_BYTES // taps.nbytes)
+def _by_kernel_group(sums, per_kernel: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """``sums(per_kernel[k:k+group], taps)`` for each group of kernels (axis
+    0 of ``per_kernel``) whose products fit ``tensor.SLAB_BYTES``, at least
+    one, joined in kernel order. A kernel's products, forward or backward,
+    are one product per tap entry, so they take ``taps.nbytes``. A bank
+    that fits one group is one call, with no copy."""
+    group = max(1, tensor.SLAB_BYTES // taps.nbytes)
+    if group >= len(per_kernel):
+        return sums(per_kernel, taps)
+    return np.concatenate([sums(per_kernel[k : k + group], taps)
+                           for k in range(0, len(per_kernel), group)])
 
 
 def _tap_sums(kernels: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Flat (g*h1*w1,) sums over the taps of (taps, g, 1) kernel columns
+    """Flat (g*h1*w1,) sums over the taps of (g, taps, 1) kernel columns
     times (taps, h1*w1) taps: one C-order row of products per tap, in
     ascending (c, u, v) order, added by ``tensor.sum_rows`` from +0.0."""
     # order="C" makes each tap's products one contiguous row: numpy would
     # otherwise follow the transposed kernels' layout.
-    products = np.multiply(kernels, taps[:, None, :], order="C")
+    products = np.multiply(kernels.swapaxes(0, 1), taps[:, None, :], order="C")
     return tensor.sum_rows(products.reshape(len(taps), -1), initial=0.0)
 
 
@@ -293,28 +305,19 @@ def conv_forward(
 ) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
     """Slide the kernel bank over the (channels, H, W) image and apply ReLU.
 
-    ``_taps`` gathers each tap's inputs through a table cached per
-    geometry. For each kernel group (``_kernel_group``), each tap's
-    products are one C-order row of a (taps, g*h1*w1) tensor, taps in
-    ascending (c, u, v) order; ``tensor.sum_rows`` adds the rows from
-    +0.0, then the biases are added.
+    ``_taps`` checks the image and gathers each tap's inputs through a
+    table cached per geometry. For each kernel group (``_by_kernel_group``),
+    each tap's products are one C-order row of a (taps, g*h1*w1) tensor,
+    taps in ascending (c, u, v) order; ``tensor.sum_rows`` adds the rows
+    from +0.0, then the biases are added.
 
     Returns the pre-activation feature maps, the ReLU maps, and the trace
     caching the input image and pre-activation.
     """
-    image = np.ascontiguousarray(image, dtype=tensor.F64)
     g = bank.geometry
-    if image.shape != (g.in_c, g.in_h, g.in_w):
-        raise ShapeError(f"image shape {image.shape} != {(g.in_c, g.in_h, g.in_w)}")
     h1, w1, d1 = g.output_dims
     taps = _taps(image, g)
-    kernels = bank.kernels.reshape(d1, -1, 1).swapaxes(0, 1)
-    if d1 * taps.nbytes <= tensor.SLAB_BYTES:  # one group: one pass, no copy
-        preact = _tap_sums(kernels, taps)
-    else:
-        group = _kernel_group(taps)
-        preact = np.concatenate([_tap_sums(kernels[:, k : k + group], taps)
-                                 for k in range(0, d1, group)])
+    preact = _by_kernel_group(_tap_sums, bank.kernels.reshape(d1, -1, 1), taps)
     preact = preact.reshape(d1, h1, w1)
     preact += bank.biases[:, None, None]  # in place: sum_rows returns a new array
     act = apply(ActivationKind.RELU, preact)
@@ -371,28 +374,19 @@ def conv_backward(
     activation derivative already multiplied in). Kernel gradients are
     the cross-correlation of the padded input with ``grad_preact``, each
     element one pairwise sum over its tap's h1*w1 contiguous products,
-    formed one kernel group (``_kernel_group``) at a time; each bias
+    formed one kernel group (``_by_kernel_group``) at a time; each bias
     gradient is one pairwise sum over its map's h1*w1 values in row-major
     order. Stride must be 1.
     """
     g = bank.geometry
     if g.stride != 1:
         raise UnsupportedError("conv backward supports stride 1 only")
-    image = np.ascontiguousarray(image, dtype=tensor.F64)
     grad_preact = np.asarray(grad_preact, dtype=tensor.F64)
-    if image.shape != (g.in_c, g.in_h, g.in_w):
-        raise ShapeError(f"image shape {image.shape} != {(g.in_c, g.in_h, g.in_w)}")
     h1, w1, d1 = g.output_dims
+    taps = _taps(image, g)
     if grad_preact.shape != (d1, h1, w1):
         raise ShapeError(f"grad shape {grad_preact.shape} != {(d1, h1, w1)}")
-    taps = _taps(image, g)
-    grad = grad_preact.reshape(d1, 1, h1 * w1)
-    if d1 * taps.nbytes <= tensor.SLAB_BYTES:  # one group: one pass, no copy
-        grad_kernels = _window_sums(grad, taps)
-    else:
-        group = _kernel_group(taps)
-        grad_kernels = np.concatenate([_window_sums(grad[k : k + group], taps)
-                                       for k in range(0, d1, group)])
+    grad_kernels = _by_kernel_group(_window_sums, grad_preact.reshape(d1, 1, h1 * w1), taps)
     grad_kernels = grad_kernels.reshape(bank.kernels.shape)
     grad_biases = np.ascontiguousarray(grad_preact).reshape(d1, -1).sum(axis=1)
     return grad_kernels, grad_biases

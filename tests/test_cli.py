@@ -168,6 +168,32 @@ class TestTrain:
         assert "cannot write output" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "bad-csv.cfg"]
 
+    @pytest.mark.parametrize("directory", ["out.model", "out.csv"])
+    def test_directory_output_keeps_old_file(self, tmp_path, capsys, monkeypatch,
+                                             directory):
+        # refused before any data is read: the output moved first would
+        # otherwise replace the old file and then be unlinked
+        paths = {"out.model": tmp_path / "old.cnnf", "out.csv": tmp_path / "old.csv"}
+        for key, path in paths.items():
+            if key == directory:
+                path.mkdir()
+            else:
+                path.write_bytes(b"old")
+
+        def no_data(cfg):
+            raise AssertionError("data read before the outputs were checked")
+
+        monkeypatch.setattr(cli, "_network_and_data", no_data)
+        cfg = write_config(tmp_path, "dir.cfg", out_model=str(paths["out.model"]),
+                           out_csv=str(paths["out.csv"]))
+        assert main(["train", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and repr(directory) in err
+        kept = [p for key, p in paths.items() if key != directory]
+        assert [p.read_bytes() for p in kept] == [b"old"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == \
+            sorted(["dir.cfg", "old.cnnf", "old.csv"])
+
     def test_save_failing_partway_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         def failing_save(net, sink):
             sink.write(b"CNNF")

@@ -96,6 +96,13 @@ class TestCheckNetwork:
         for a, b in zip(before, after):
             assert np.array_equal(a, b)
 
+    def test_read_only_params_same_rows(self):
+        # the oracle perturbs its own copy, so it never writes net.params
+        net, sample0 = readme_bars0()
+        want = check_network(net, sample0).rows()
+        net.params.flags.writeable = False
+        assert check_network(net, sample0).rows() == want
+
     def test_zero_gradient_fixture_uses_absolute_rule(self):
         net = nm.init(FIXTURE_ARCH, 3)
         net.dense[-1].weights[:] = 0.0

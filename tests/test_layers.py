@@ -613,6 +613,19 @@ class TestConvBackward:
         assert np.array_equal(gk[0, 0], image[0])
         assert gb[0] == 1.0
 
+    def test_shape_mismatch(self):
+        rng = np.random.default_rng(24)
+        bank = random_bank(rng, 4, 4, 1, 2, 2)
+        bad_image = np.zeros((1, 5, 5))
+        with pytest.raises(ShapeError) as forward:
+            conv_forward(bad_image, bank)
+        with pytest.raises(ShapeError) as backward:
+            conv_backward(np.zeros((2, 3, 3)), bad_image, bank)
+        assert str(backward.value) == str(forward.value)
+        for grad in (np.zeros((2, 4, 4)), np.zeros((3, 3, 3)), np.zeros(18)):
+            with pytest.raises(ShapeError, match="grad shape"):
+                conv_backward(grad, np.zeros((1, 4, 4)), bank)
+
     @pytest.mark.parametrize("pad", [0, 1])
     def test_matches_finite_difference(self, pad):
         # loss = sum(preact) and loss = sum(preact^2)/2, both smooth
@@ -774,9 +787,9 @@ class TestConvKernelGroups:
     def spy_groups(monkeypatch):
         """Kernel counts of the groups each pass forms, in call order."""
         seen = []
-        for name, axis in (("_tap_sums", 1), ("_window_sums", 0)):
-            def spy(operand, taps, real=getattr(layers, name), axis=axis):
-                seen.append(operand.shape[axis])
+        for name in ("_tap_sums", "_window_sums"):
+            def spy(operand, taps, real=getattr(layers, name)):
+                seen.append(operand.shape[0])
                 return real(operand, taps)
             monkeypatch.setattr(layers, name, spy)
         return seen
