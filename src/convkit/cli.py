@@ -195,16 +195,12 @@ def _network_and_data(cfg: RunConfig) -> tuple[net_mod.Network, Dataset]:
         raise ConfigError(f"invalid architecture: {e}") from e
 
 
-def _check_extents(net: net_mod.Network, data: Dataset) -> None:
+def _check_extents(net: net_mod.Network, shape: tuple[int, ...], source: str) -> None:
+    """Refuse images from ``source`` whose (C, H, W) extents are not the model's."""
     g = net.bank.geometry
     want = (g.in_c, g.in_h, g.in_w)
-    got = data.images[0].shape
-    if got != want:
-        raise ParseError(f"model expects images {want}, data provides {got}")
-    if data.class_count != net.class_count:
-        raise ParseError(
-            f"model has {net.class_count} classes, data has {data.class_count}"
-        )
+    if shape != want:
+        raise ParseError(f"model expects images {want}, {source} has {shape}")
 
 
 def _write_outputs(outputs: list[tuple[str, Callable[[BinaryIO], object]]]) -> None:
@@ -232,15 +228,23 @@ def _write_outputs(outputs: list[tuple[str, Callable[[BinaryIO], object]]]) -> N
 
 
 def _check_outputs(model_path: str, csv_path: str) -> None:
-    """Refuse an ``out.model`` or ``out.csv`` that names a directory: its
-    file could not be moved into place, and the rollback would then unlink
-    the other output, already moved over the user's old file. Refuse the
-    two naming one file: the CSV would replace the model. Paths that
-    resolve alike name one file, and so do two existing paths to one
-    inode (hard links)."""
+    """Refuse, before any data is read, an ``out.model`` or ``out.csv``
+    that is empty or whose directory does not exist: its temporary file
+    could not be made, so the run would train only to fail. Refuse one
+    that names a directory: its file could not be moved into place, and
+    the rollback would then unlink the other output, already moved over
+    the user's old file. Refuse the two naming one file: the CSV would
+    replace the model. Paths that resolve alike name one file, and so do
+    two existing paths to one inode (hard links)."""
     for key, path in (("out.model", model_path), ("out.csv", csv_path)):
+        if not path:
+            raise ConfigError(f"cannot write output: {key!r} is empty")
         if os.path.isdir(path):
             raise ConfigError(f"cannot write output: {key!r} ({path}) is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(
+                f"cannot write output: the directory of {key!r} ({path}) does not exist"
+            )
     same = os.path.realpath(model_path) == os.path.realpath(csv_path)
     if not same:
         with contextlib.suppress(OSError):
@@ -284,7 +288,7 @@ def cmd_eval(model_path: str, config_path: str) -> int:
     cfg = RunConfig.from_file(config_path)
     net = _load_model(model_path)
     data = _load_dataset(cfg, net.class_count)
-    _check_extents(net, data)
+    _check_extents(net, data.images[0].shape, "the data")
     mean_loss, accuracy = net_mod.evaluate(net, data)
     print(f"loss={mean_loss:.6f} accuracy={accuracy:.6f}")
     return EXIT_OK
@@ -304,12 +308,7 @@ def cmd_predict(model_path: str, image_path: str, softmax: bool) -> int:
     except OSError as e:
         raise ParseError(f"cannot read image {image_path}: {e}") from e
     image = normalize(raw)
-    g = net.bank.geometry
-    if image.shape != (g.in_c, g.in_h, g.in_w):
-        raise ParseError(
-            f"model expects images {(g.in_c, g.in_h, g.in_w)}, "
-            f"image {image_path} is {image.shape}"
-        )
+    _check_extents(net, image.shape, f"image {image_path}")
     # The check below reports an overflow, so numpy's warnings would be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         yhat, _ = net_mod.forward(net, image)

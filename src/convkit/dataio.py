@@ -4,6 +4,7 @@ normalization, and in-memory dataset assembly."""
 from __future__ import annotations
 
 import operator
+import re
 import struct
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -120,6 +121,17 @@ def load_idx_labels(source: str | BinaryIO) -> np.ndarray:
         return np.frombuffer(_idx_payload(f, count, "label"), dtype=np.uint8)
 
 
+# One PGM header token after its separators: whitespace, and '#' comments
+# to the end of their line. The possessive ``*+`` (Python 3.11) gives no
+# separator back, so a header cut off inside a comment holds no token.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*+(\S+)")
+
+
+def _quoted(token: bytes) -> str:
+    """``repr(token)``, or its first 32 bytes and its length if longer."""
+    return repr(token) if len(token) <= 32 else f"{token[:32]!r}... ({len(token)} bytes)"
+
+
 def load_pgm(source: str | BinaryIO) -> np.ndarray:
     """Parse a binary (P5) PGM into a raw (H, W) uint8 array.
 
@@ -133,38 +145,20 @@ def load_pgm(source: str | BinaryIO) -> np.ndarray:
     """
     with _opened(source) as f:
         blob = f.read(tensor.MAX_BYTES + 1)
-    pos = 0
-
-    def skip_separators(p: int) -> int:
-        while p < len(blob):
-            if blob[p : p + 1].isspace():
-                p += 1
-            elif blob[p : p + 1] == b"#":
-                while p < len(blob) and blob[p] != 0x0A:
-                    p += 1
-            else:
-                break
-        return p
-
-    def token(p: int) -> tuple[bytes, int]:
-        p = skip_separators(p)
-        start = p
-        while p < len(blob) and not blob[p : p + 1].isspace():
-            p += 1
-        if start == p:
+    pos, fields = 0, []
+    for name in ("signature", "width", "height", "maxval"):
+        m = _PGM_TOKEN.match(blob, pos)
+        if m is None:
             raise TruncationError("PGM header ended before all tokens were read")
-        return blob[start:p], p
-
-    sig, pos = token(pos)
-    if sig != b"P5":
-        raise ParseError(f"not a binary PGM: signature {sig!r}, expected b'P5'")
-    fields = []
-    for name in ("width", "height", "maxval"):
-        tok, pos = token(pos)
+        tok, pos = m[1], m.end()
+        if name == "signature":
+            if tok != b"P5":
+                raise ParseError(f"not a binary PGM: signature {_quoted(tok)}, expected b'P5'")
+            continue
         try:
             fields.append(int(tok))
         except ValueError:
-            raise ParseError(f"PGM {name} {tok!r} is not an integer") from None
+            raise ParseError(f"PGM {name} {_quoted(tok)} is not an integer") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ParseError(f"PGM extents {width}x{height} must be positive")

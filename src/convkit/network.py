@@ -20,7 +20,8 @@ import numpy as np
 from . import tensor
 from .activations import ActivationKind, apply, derivative
 from .dataio import Dataset, _opened, check_labels
-from .errors import DomainError, ParseError, ShapeError, TruncationError, UnsupportedError
+from .errors import (DomainError, GeometryError, ParseError, ShapeError, TruncationError,
+                     UnsupportedError)
 from .layers import (
     ConvGeometry,
     DenseLayer,
@@ -419,11 +420,9 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def u32(self, section: str) -> int:
-        return struct.unpack("<I", self.take(4, section))[0]
-
-    def u8(self, section: str) -> int:
-        return self.take(1, section)[0]
+    def unpack(self, layout: str, section: str) -> tuple:
+        """One ``struct`` layout, read as one section."""
+        return struct.unpack(layout, self.take(struct.calcsize(layout), section))
 
     def f64_array(self, count: int, section: str) -> np.ndarray:
         raw = self.take(8 * count, section)
@@ -446,23 +445,20 @@ def _read_model(r: _Reader) -> Network:
     magic = r.take(4, "magic")
     if magic != MODEL_MAGIC:
         raise ParseError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-    version = r.u32("version")
+    (version,) = r.unpack("<I", "version")
     if version != MODEL_VERSION:
         raise ParseError(f"unsupported model version {version}")
-    vals = [r.u32("conv geometry") for _ in range(8)]
     try:
-        conv = ConvGeometry(*vals)
-        pool = PoolGeometry(r.u32("pool geometry"), r.u32("pool geometry"))
-    except ValueError as e:
+        conv = ConvGeometry(*r.unpack("<8I", "conv geometry"))
+        pool = PoolGeometry(*r.unpack("<2I", "pool geometry"))
+    except GeometryError as e:  # not a TruncationError, which names its section
         raise ParseError(f"inconsistent geometry: {e}") from e
-    n_dense = r.u32("dense count")
+    (n_dense,) = r.unpack("<I", "dense count")
     if n_dense < 1 or n_dense > 1_000_000:
         raise ParseError(f"implausible dense layer count {n_dense}")
     dense_geom = []
     for i in range(n_dense):
-        n_in = r.u32(f"dense[{i}] geometry")
-        n_out = r.u32(f"dense[{i}] geometry")
-        tag = r.u8(f"dense[{i}] geometry")
+        n_in, n_out, tag = r.unpack("<IIB", f"dense[{i}] geometry")
         try:
             kind = ActivationKind(tag)
         except ValueError as e:

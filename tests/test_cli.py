@@ -194,6 +194,25 @@ class TestTrain:
         assert sorted(p.name for p in tmp_path.rglob("*")) == \
             sorted(["dir.cfg", "old.cnnf", "old.csv"])
 
+    @pytest.mark.parametrize("key,value", [("out.model", ""), ("out.csv", ""),
+                                           ("out.model", "nodir/m.cnnf"),
+                                           ("out.csv", "nodir/m.csv")])
+    def test_unwritable_output_refused_before_training(self, tmp_path, capsys,
+                                                       monkeypatch, key, value):
+        # its temporary file could not be made: the run would train, then fail
+        def no_data(cfg):
+            raise AssertionError("data read before the outputs were checked")
+
+        monkeypatch.setattr(cli, "_network_and_data", no_data)
+        monkeypatch.chdir(tmp_path)
+        outs = {"out.model": "m.cnnf", "out.csv": "m.csv", key: value}
+        cfg = write_config(tmp_path, "out.cfg", out_model=outs["out.model"],
+                           out_csv=outs["out.csv"])
+        assert main(["train", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and repr(key) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["out.cfg"]
+
     def test_save_failing_partway_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         def failing_save(net, sink):
             sink.write(b"CNNF")

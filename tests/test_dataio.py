@@ -16,7 +16,7 @@ from convkit.dataio import (
     one_hot,
     synth_bars,
 )
-from convkit.errors import DomainError, ParseError, ShapeError, TruncationError
+from convkit.errors import ConvkitError, DomainError, ParseError, ShapeError, TruncationError
 
 
 # --- test helpers: writers that mirror the published byte layouts --------
@@ -50,6 +50,78 @@ class CountingStream(io.BytesIO):
 def write_pgm(img, header=b"P5 %d %d 255\n") -> bytes:
     h, w = img.shape
     return (header % (w, h)) + bytes(img.ravel().tolist())
+
+
+def reference_load_pgm(blob: bytes) -> np.ndarray:
+    """``load_pgm`` of a byte string as it was before its header was read
+    through one token pattern: a byte-at-a-time scanner, kept as the
+    reference that pattern is compared with."""
+    pos = 0
+
+    def skip_separators(p: int) -> int:
+        while p < len(blob):
+            if blob[p : p + 1].isspace():
+                p += 1
+            elif blob[p : p + 1] == b"#":
+                while p < len(blob) and blob[p] != 0x0A:
+                    p += 1
+            else:
+                break
+        return p
+
+    def token(p: int) -> tuple[bytes, int]:
+        p = skip_separators(p)
+        start = p
+        while p < len(blob) and not blob[p : p + 1].isspace():
+            p += 1
+        if start == p:
+            raise TruncationError("PGM header ended before all tokens were read")
+        return blob[start:p], p
+
+    sig, pos = token(pos)
+    if sig != b"P5":
+        raise ParseError(f"not a binary PGM: signature {sig!r}, expected b'P5'")
+    fields = []
+    for name in ("width", "height", "maxval"):
+        tok, pos = token(pos)
+        try:
+            fields.append(int(tok))
+        except ValueError:
+            raise ParseError(f"PGM {name} {tok!r} is not an integer") from None
+    width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ParseError(f"PGM extents {width}x{height} must be positive")
+    tensor.check_bytes({"PGM image": 8 * width * height})
+    only_8_bit = f"PGM maxval {maxval}: only 8-bit PGMs (maxval 255) are read"
+    if not 0 < maxval <= 255:
+        raise ParseError(only_8_bit)
+    if pos == len(blob):
+        raise TruncationError("PGM header ended after maxval, before its separator byte")
+    pos += 1  # single whitespace byte after maxval
+    need = width * height
+    if len(blob) - pos < need:
+        raise TruncationError(
+            f"PGM payload holds {len(blob) - pos} bytes, header claims {need}"
+        )
+    flat = np.frombuffer(blob, dtype=np.uint8, offset=pos, count=need)
+    if maxval != 255:
+        over = np.flatnonzero(flat > maxval)
+        if over.size:
+            i = int(over[0])
+            raise ParseError(
+                f"PGM pixel {flat[i]} at row {i // width}, column {i % width} "
+                f"exceeds maxval {maxval}"
+            )
+        raise ParseError(only_8_bit)
+    return flat.reshape(height, width).copy()
+
+
+def pgm_outcome(load, blob: bytes):
+    """What ``load`` makes of ``blob``: its array, or the ConvkitError it raised."""
+    try:
+        return load(blob)
+    except ConvkitError as e:
+        return e
 
 
 class TestIdxImages:
@@ -284,6 +356,32 @@ class TestPgm:
     def test_non_integer_field(self):
         with pytest.raises(ParseError):
             load_pgm(io.BytesIO(b"P5 two 2 255\n" + bytes(4)))
+
+    @pytest.mark.parametrize("byte", range(256))
+    def test_every_byte_as_separator_matches_reference(self, byte):
+        # the separators are bytes.isspace()'s six, and '#' starts a comment
+        blob = b"P5" + bytes([byte]) + b"2 1 255" + bytes([byte]) + bytes([7, 9, 11])
+        new = pgm_outcome(lambda b: load_pgm(io.BytesIO(b)), blob)
+        old = pgm_outcome(reference_load_pgm, blob)
+        if isinstance(old, np.ndarray):
+            assert np.array_equal(new, old) and new.dtype == old.dtype
+        else:
+            assert (type(new), str(new)) == (type(old), str(old))
+
+    @pytest.mark.parametrize("blob,error", [
+        (bytes(1 << 20), ParseError),  # one 1 MiB signature token
+        (b"P5 " + b"9" * (1 << 20) + b" 2 255\n", ParseError),
+        (b"P5 #" + b"c" * (1 << 20), TruncationError),  # cut off inside a comment
+    ], ids=["nul-bytes", "digit-width", "comment"])
+    def test_megabyte_header_gives_a_short_message(self, blob, error):
+        with pytest.raises(error) as e:
+            load_pgm(io.BytesIO(blob))
+        assert len(str(e.value)) < 200
+
+    def test_long_token_quoted_by_its_first_32_bytes(self):
+        with pytest.raises(ParseError) as e:
+            load_pgm(io.BytesIO(b"P5 " + b"x" * 40 + b" 2 255\n"))
+        assert str(e.value) == f"PGM width {b'x' * 32!r}... (40 bytes) is not an integer"
 
 
 class TestNormalize:

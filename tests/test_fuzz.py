@@ -24,6 +24,7 @@ from convkit.cli import RunConfig, main
 from convkit.dataio import dataset_from_idx, load_idx_images, load_idx_labels, load_pgm
 from convkit.errors import ConfigError, ConvkitError, GeometryError
 from convkit.layers import ConvGeometry, DenseLayer, KernelBank, PoolGeometry
+from test_dataio import pgm_outcome, reference_load_pgm
 
 ARCH = nm.Architecture(
     conv=ConvGeometry(8, 8, 1, 3, 3, 2),
@@ -218,6 +219,45 @@ def test_load_pgm_raises_only_convkit_errors(fields, sep, payload, edits, cut):
     except ConvkitError:
         return
     assert image.dtype == np.uint8 and image.ndim == 2 and min(image.shape) >= 1
+
+
+# The differential test's separators add '\r', '\x0b', '\x0c' (bytes.isspace()
+# holds them), NUL (it does not) and a lone '#'; its tokens add ones longer
+# than the 32 bytes an error message quotes.
+pgm_separators = st.sampled_from([b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c", b"\x00",
+                                  b"#c\n", b" # c\r\n", b"#", b""])
+long_tokens = st.sampled_from([b"x" * 33, b"9" * 40, b"P5" + bytes(31)])
+signatures = st.sampled_from([b"P5", b"P5", b"P5", b"P6", b"#P5", b"x"]) | long_tokens
+header_fields = st.one_of(extents, extents, long_tokens)
+header_soup = st.lists(st.sampled_from([b"P5", b"P6", b"1", b"2", b"5", b"+", b"_", b"#",
+                                        b" ", b"\n", b"\r", b"\x0b", b"\x0c", b"\x00",
+                                        b"x"]), max_size=24).map(b"".join)
+
+
+@st.composite
+def pgm_headers(draw) -> bytes:
+    tokens = [draw(signatures), draw(header_fields), draw(header_fields), draw(maxvals)]
+    tokens = [t if isinstance(t, bytes) else str(t).encode() for t in tokens]
+    # the last separator ends the header, or cuts it off inside a comment
+    seps = [draw(pgm_separators) for _ in range(4)]
+    end = draw(st.sampled_from([b"\n", b" ", b"\r", b"", b"#cut"]))
+    return b"".join(s + t for s, t in zip(seps, tokens)) + end
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None, database=None)
+@given(header=pgm_headers() | header_soup, payload=st.binary(max_size=20))
+def test_load_pgm_matches_the_byte_scanner(header, payload):
+    blob = header + payload
+    new = pgm_outcome(lambda b: load_pgm(io.BytesIO(b)), blob)
+    old = pgm_outcome(reference_load_pgm, blob)
+    if isinstance(old, np.ndarray):
+        assert isinstance(new, np.ndarray) and new.dtype == old.dtype
+        assert np.array_equal(new, old)
+        return
+    assert type(new) is type(old)
+    # only a quoted token over 32 bytes is clipped
+    if max(map(len, blob.split()), default=0) <= 32:
+        assert str(new) == str(old)
 
 
 # --- RunConfig and the train/gradcheck commands ---------------------------

@@ -776,6 +776,23 @@ class TestSaveLoad:
         with pytest.raises(TruncationError, match="conv kernels"):
             nm.load(io.BytesIO(blob[: 16 + 8 * 4 + 2 * 4 + 4 + 2 * 9 + 20]))
 
+    def test_header_cut_at_every_offset_names_its_section(self):
+        buf = io.BytesIO()
+        nm.save(fixture_net(38), buf)
+        blob = buf.getvalue()
+        sections = [("magic", 4), ("version", 4), ("conv geometry", 32),
+                    ("pool geometry", 8), ("dense count", 4)]
+        sections += [(f"dense[{i}] geometry", 9) for i in range(len(FIXTURE_ARCH.dense_widths))]
+        start = 0
+        for name, size in sections:
+            for cut in range(start, start + size):
+                with pytest.raises(TruncationError) as e:
+                    nm.load(io.BytesIO(blob[:cut]))
+                assert str(e.value) == (f"file truncated in section '{name}' (need {size} "
+                                        f"bytes at offset {start}, have {cut - start})")
+            start += size
+        assert start == 52 + 9 * len(FIXTURE_ARCH.dense_widths)
+
     def test_trailing_bytes_rejected(self):
         net = fixture_net(28)
         buf = io.BytesIO()
