@@ -50,6 +50,13 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
 
+# The config keys the README documents; each command reads those it needs.
+CONFIG_KEYS = frozenset((
+    "conv.kernels", "conv.size", "conv.stride", "conv.pad", "pool.window", "pool.stride",
+    "dense.widths", "train.alpha", "train.epochs", "train.batch_size", "train.seed",
+    "data.source", "out.model", "out.csv",
+))
+
 
 class RunConfig:
     """Typed access to the flat key=value config with diagnostics that
@@ -72,8 +79,12 @@ class RunConfig:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            pairs[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in pairs:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} is given twice")
+            pairs[key] = value
         return cls(pairs)
 
     def require(self, key: str) -> str:
@@ -148,11 +159,8 @@ def _load_dataset(cfg: RunConfig, class_count: int) -> Dataset:
         if len(parts) != 2:
             raise ConfigError("data.source idx needs 'idx:<images>,<labels>'")
         img_path, lbl_path = parts[0].strip(), parts[1].strip()
-        try:
-            with open(img_path, "rb") as images, open(lbl_path, "rb") as labels:
-                data = dataset_from_idx(images, labels, class_count)
-        except OSError as e:
-            raise ParseError(f"cannot read IDX data: {e}") from e
+        with open(img_path, "rb") as images, open(lbl_path, "rb") as labels:
+            data = dataset_from_idx(images, labels, class_count)
         if len(data.images) == 0:
             raise ParseError(f"IDX data {img_path} holds no samples")
         return data
@@ -286,7 +294,7 @@ def cmd_train(config_path: str) -> int:
 
 def cmd_eval(model_path: str, config_path: str) -> int:
     cfg = RunConfig.from_file(config_path)
-    net = _load_model(model_path)
+    net = net_mod.load(model_path)
     data = _load_dataset(cfg, net.class_count)
     _check_extents(net, data.images[0].shape, "the data")
     mean_loss, accuracy = net_mod.evaluate(net, data)
@@ -302,12 +310,8 @@ def cmd_gradcheck(config_path: str, threshold: float) -> int:
 
 
 def cmd_predict(model_path: str, image_path: str, softmax: bool) -> int:
-    net = _load_model(model_path)
-    try:
-        raw = load_pgm(image_path)
-    except OSError as e:
-        raise ParseError(f"cannot read image {image_path}: {e}") from e
-    image = normalize(raw)
+    net = net_mod.load(model_path)
+    image = normalize(load_pgm(image_path))
     _check_extents(net, image.shape, f"image {image_path}")
     # The check below reports an overflow, so numpy's warnings would be noise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -318,13 +322,6 @@ def cmd_predict(model_path: str, image_path: str, softmax: bool) -> int:
     print(" ".join(f"{v:.6f}" for v in out))
     print(f"class={int(np.argmax(out))}")
     return EXIT_OK
-
-
-def _load_model(path: str) -> net_mod.Network:
-    try:
-        return net_mod.load(path)
-    except OSError as e:
-        raise ParseError(f"cannot read model {path}: {e}") from e
 
 
 def _threshold(raw: str) -> float:
@@ -381,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvkitError as e:
+    except (ConvkitError, OSError) as e:  # OSError: an input that cannot be read
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,5 +1,6 @@
 """Grayscale image and label ingestion (IDX and binary PGM), pixel
-normalization, and in-memory dataset assembly."""
+normalization, and in-memory dataset assembly. Its sectioned byte reader
+reads the model file too."""
 
 from __future__ import annotations
 
@@ -60,26 +61,37 @@ def _opened(source: str | BinaryIO) -> ContextManager[BinaryIO]:
     return nullcontext(source) if hasattr(source, "read") else open(source, "rb")
 
 
-def _idx_header(f: BinaryIO, magic: int, kind: str, n_dims: int) -> tuple[int, ...]:
-    """The ``n_dims`` big-endian u32 extents after an IDX file's magic."""
-    size = 4 + 4 * n_dims
-    header = f.read(size)
-    found = int.from_bytes(header[:4], "big")
-    if len(header) >= 4 and found != magic:
-        raise ParseError(f"bad IDX {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
-    if len(header) < size:
-        raise TruncationError(f"IDX {kind} header needs {size} bytes, have {len(header)}")
-    return struct.unpack(f">{n_dims}I", header[4:])
+class _Reader:
+    """Sequential reader of a binary stream that names the section a
+    truncation happened in. It reads each section as it is taken, so no
+    byte past the last section taken is read."""
 
+    def __init__(self, f: BinaryIO, pos: int = 0):
+        self.f = f
+        self.pos = pos
 
-def _idx_payload(f: BinaryIO, need: int, kind: str) -> bytes:
-    """The ``need`` payload bytes its checked header claims, and no more."""
-    payload = f.read(need + 1)  # one byte more shows trailing data
-    if len(payload) != need:
-        held = "more than" if len(payload) > need else "only"
-        raise TruncationError(f"IDX {kind} payload holds {held} {min(len(payload), need)} "
-                              f"bytes, header claims {need}")
-    return payload
+    def take(self, n: int, section: str) -> bytes:
+        chunk = self.f.read(n)
+        if len(chunk) < n:
+            raise TruncationError(
+                f"file truncated in section '{section}' "
+                f"(need {n} bytes at offset {self.pos}, have {len(chunk)})"
+            )
+        self.pos += n
+        return chunk
+
+    def unpack(self, layout: str, section: str) -> tuple:
+        """One ``struct`` layout, read as one section."""
+        return struct.unpack(layout, self.take(struct.calcsize(layout), section))
+
+    def f64_array(self, count: int, section: str) -> np.ndarray:
+        raw = self.take(8 * count, section)
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+    def end(self, last: str) -> None:
+        """Refuse a byte after section ``last``, reading at most that one."""
+        if self.f.read(1):
+            raise ParseError(f"trailing bytes after {last}: the header gives {self.pos} bytes")
 
 
 def load_idx_images(source: str | BinaryIO) -> np.ndarray:
@@ -92,16 +104,23 @@ def load_idx_images(source: str | BinaryIO) -> np.ndarray:
       u32   column count (>= 1)
       u8[]  pixels, row-major per image
 
-    The header is checked before the pixels are read.
+    The header is checked before the pixels are read, and at most one
+    byte past the pixels is read.
     """
     with _opened(source) as f:
-        count, rows, cols = _idx_header(f, IDX_IMAGE_MAGIC, "image", 3)
+        r = _Reader(f)
+        (magic,) = r.unpack(">I", "IDX image magic")
+        if magic != IDX_IMAGE_MAGIC:
+            raise ParseError(f"bad IDX image magic 0x{magic:08x}, "
+                             f"expected 0x{IDX_IMAGE_MAGIC:08x}")
+        count, rows, cols = r.unpack(">3I", "IDX image extents")
         if rows < 1 or cols < 1:
             raise ParseError(f"IDX image extents {rows}x{cols} must be positive")
         need = count * rows * cols
         # dataset_from_idx makes the pixels float64
         tensor.check_bytes({"IDX images": 8 * need})
-        pixels = _idx_payload(f, need, "image")
+        pixels = r.take(need, "IDX image pixels")
+        r.end("IDX image pixels")
     return np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows, cols)
 
 
@@ -113,18 +132,33 @@ def load_idx_labels(source: str | BinaryIO) -> np.ndarray:
       u32   label count
       u8[]  labels
 
-    The header is checked before the labels are read.
+    The header is checked before the labels are read, and at most one
+    byte past the labels is read.
     """
     with _opened(source) as f:
-        (count,) = _idx_header(f, IDX_LABEL_MAGIC, "label", 1)
+        r = _Reader(f)
+        (magic,) = r.unpack(">I", "IDX label magic")
+        if magic != IDX_LABEL_MAGIC:
+            raise ParseError(f"bad IDX label magic 0x{magic:08x}, "
+                             f"expected 0x{IDX_LABEL_MAGIC:08x}")
+        (count,) = r.unpack(">I", "IDX label count")
         tensor.check_bytes({"IDX label bytes": count})
-        return np.frombuffer(_idx_payload(f, count, "label"), dtype=np.uint8)
+        labels = r.take(count, "IDX labels")
+        r.end("IDX labels")
+    return np.frombuffer(labels, dtype=np.uint8)
 
 
 # One PGM header token after its separators: whitespace, and '#' comments
 # to the end of their line. The possessive ``*+`` (Python 3.11) gives no
 # separator back, so a header cut off inside a comment holds no token.
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*+(\S+)")
+# The header is parsed from at most this prefix (or MAX_BYTES + 1 bytes):
+# room for any comments, a 1 MiB one included, while a file that is no
+# PGM is refused after 2 MiB is read, not the 1 GiB its pixels may take.
+_PGM_HEAD_BYTES = 1 << 21
+# No width, height or maxval that passes check_bytes needs more than 9
+# digits; 64 bytes leave room for a sign, zero padding and '_'.
+_PGM_FIELD_BYTES = 64
 
 
 def _quoted(token: bytes) -> str:
@@ -141,40 +175,49 @@ def load_pgm(source: str | BinaryIO) -> np.ndarray:
     read, since ``normalize`` divides by 255; a pixel above a smaller
     maxval is named in the error. The float64 image ``normalize`` makes
     must fit ``tensor.MAX_BYTES``: that is checked before the pixels are
-    copied, and at most ``MAX_BYTES + 1`` bytes of the file are read.
+    copied. The header is parsed from the file's first
+    ``_PGM_HEAD_BYTES`` bytes at most, and past them only the pixels the
+    header claims are read.
     """
     with _opened(source) as f:
-        blob = f.read(tensor.MAX_BYTES + 1)
-    pos, fields = 0, []
-    for name in ("signature", "width", "height", "maxval"):
-        m = _PGM_TOKEN.match(blob, pos)
-        if m is None:
-            raise TruncationError("PGM header ended before all tokens were read")
-        tok, pos = m[1], m.end()
-        if name == "signature":
-            if tok != b"P5":
-                raise ParseError(f"not a binary PGM: signature {_quoted(tok)}, expected b'P5'")
-            continue
-        try:
-            fields.append(int(tok))
-        except ValueError:
-            raise ParseError(f"PGM {name} {_quoted(tok)} is not an integer") from None
-    width, height, maxval = fields
-    if width < 1 or height < 1:
-        raise ParseError(f"PGM extents {width}x{height} must be positive")
-    tensor.check_bytes({"PGM image": 8 * width * height})
-    only_8_bit = f"PGM maxval {maxval}: only 8-bit PGMs (maxval 255) are read"
-    if not 0 < maxval <= 255:
-        raise ParseError(only_8_bit)
-    if pos == len(blob):
-        raise TruncationError("PGM header ended after maxval, before its separator byte")
-    pos += 1  # single whitespace byte after maxval
-    need = width * height
-    if len(blob) - pos < need:
-        raise TruncationError(
-            f"PGM payload holds {len(blob) - pos} bytes, header claims {need}"
-        )
-    flat = np.frombuffer(blob, dtype=np.uint8, offset=pos, count=need)
+        limit = min(_PGM_HEAD_BYTES, tensor.MAX_BYTES + 1)
+        head = f.read(limit)
+        pos, fields = 0, []
+        for name in ("signature", "width", "height", "maxval"):
+            m = _PGM_TOKEN.match(head, pos)
+            if len(head) == limit and (m is None or m.end() == limit):
+                raise ParseError(f"PGM header does not end within its first {limit} bytes")
+            if m is None:
+                raise TruncationError("PGM header ended before all tokens were read")
+            tok, pos = m[1], m.end()
+            if name == "signature":
+                if tok != b"P5":
+                    raise ParseError(f"not a binary PGM: signature {_quoted(tok)}, expected b'P5'")
+                continue
+            if len(tok) > _PGM_FIELD_BYTES:
+                raise ParseError(f"PGM {name} {_quoted(tok)} is longer than "
+                                 f"{_PGM_FIELD_BYTES} bytes")
+            try:
+                fields.append(int(tok))
+            except ValueError:
+                raise ParseError(f"PGM {name} {_quoted(tok)} is not an integer") from None
+        width, height, maxval = fields
+        if width < 1 or height < 1:
+            raise ParseError(f"PGM extents {width}x{height} must be positive")
+        tensor.check_bytes({"PGM image": 8 * width * height})
+        only_8_bit = f"PGM maxval {maxval}: only 8-bit PGMs (maxval 255) are read"
+        if not 0 < maxval <= 255:
+            raise ParseError(only_8_bit)
+        if pos == len(head):
+            raise TruncationError("PGM header ended after maxval, before its separator byte")
+        pos += 1  # single whitespace byte after maxval
+        need = width * height
+        pixels = head[pos:pos + need]
+        if len(head) == limit and len(pixels) < need:  # the file goes on past the prefix
+            pixels += _Reader(f, len(head)).take(need - len(pixels), "PGM pixels")
+    if len(pixels) < need:
+        raise TruncationError(f"PGM payload holds {len(pixels)} bytes, header claims {need}")
+    flat = np.frombuffer(pixels, dtype=np.uint8)
     if maxval != 255:
         over = np.flatnonzero(flat > maxval)
         if over.size:

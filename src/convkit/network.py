@@ -19,9 +19,8 @@ import numpy as np
 
 from . import tensor
 from .activations import ActivationKind, apply, derivative
-from .dataio import Dataset, _opened, check_labels
-from .errors import (DomainError, GeometryError, ParseError, ShapeError, TruncationError,
-                     UnsupportedError)
+from .dataio import Dataset, _opened, _Reader, check_labels
+from .errors import DomainError, GeometryError, ParseError, ShapeError, UnsupportedError
 from .layers import (
     ConvGeometry,
     DenseLayer,
@@ -401,34 +400,6 @@ def save(net: Network, sink: str | BinaryIO) -> None:
             f.write(blob)
 
 
-class _Reader:
-    """Sequential reader of a binary stream that names the section a
-    truncation happened in. It reads each section as it is taken, so no
-    byte past the last section taken is read."""
-
-    def __init__(self, f: BinaryIO):
-        self.f = f
-        self.pos = 0
-
-    def take(self, n: int, section: str) -> bytes:
-        chunk = self.f.read(n)
-        if len(chunk) < n:
-            raise TruncationError(
-                f"file truncated in section '{section}' "
-                f"(need {n} bytes at offset {self.pos}, have {len(chunk)})"
-            )
-        self.pos += n
-        return chunk
-
-    def unpack(self, layout: str, section: str) -> tuple:
-        """One ``struct`` layout, read as one section."""
-        return struct.unpack(layout, self.take(struct.calcsize(layout), section))
-
-    def f64_array(self, count: int, section: str) -> np.ndarray:
-        raw = self.take(8 * count, section)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-
 def load(source: str | BinaryIO) -> Network:
     """Read a model file, raising a distinct ParseError for bad magic,
     version mismatch, truncation, trailing bytes or inconsistent extents.
@@ -479,8 +450,7 @@ def _read_model(r: _Reader) -> Network:
         w = r.f64_array(n_in * n_out, f"dense[{i}] weights").reshape(n_out, n_in)
         b = r.f64_array(n_out, f"dense[{i}] biases")
         layers.append(DenseLayer(weights=w, biases=b, activation=kind))
-    if r.f.read(1):
-        raise ParseError(f"trailing bytes after parameters: the header gives {r.pos} bytes")
+    r.end("parameters")
     try:
         return Network(
             bank=KernelBank(kernels=kernels, biases=biases, geometry=conv),

@@ -32,14 +32,17 @@ data.source=bars:20,8,8
 
 
 def write_config(tmp_path, name, extra="", drop=None, **outs):
+    """BASE_KEYS without ``drop``, each ``key=value`` line of ``extra`` in
+    place of the base line with its key (or after them), then ``outs``."""
+    given = dict(line.split("=", 1) for line in extra.splitlines())
     lines = [
-        line for line in BASE_KEYS.splitlines()
-        if drop is None or not line.startswith(drop + "=")
+        f"{key}={given.pop(key, value)}"
+        for key, value in (line.split("=", 1) for line in BASE_KEYS.splitlines())
+        if key != drop
     ]
+    lines += [f"{key}={value}" for key, value in given.items()]
     for key, value in outs.items():
         lines.append(f"{key.replace('_', '.')}={value}")
-    if extra:
-        lines.append(extra)
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -635,6 +638,62 @@ class TestUnknownActivationTag:
         assert captured.out == ""
         assert f"dense[1] has unknown activation tag {tag}" in captured.err
         assert sorted(tmp_path.iterdir()) == before
+
+
+def unreadable_input_argv(tmp_path, case):
+    """The argv of one run whose input file cannot be read, and its path."""
+    if case == "eval-missing-model":
+        missing = str(tmp_path / "absent.cnnf")
+        return ["eval", missing, train_config(tmp_path)], missing
+    if case == "predict-on-directory":
+        image = tmp_path / "images"
+        image.mkdir()
+        return ["predict", zero_model(tmp_path), str(image)], str(image)
+    missing = str(tmp_path / "absent-images.idx")
+    cfg = train_config(tmp_path, extra=f"data.source=idx:{missing},{missing}")
+    return [case.split("-")[0], cfg], missing
+
+
+@pytest.mark.parametrize("case", ["eval-missing-model", "predict-on-directory",
+                                  "train-missing-idx", "gradcheck-missing-idx"])
+def test_unreadable_input_exits_2_naming_it(tmp_path, capsys, case):
+    argv, path = unreadable_input_argv(tmp_path, case)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [Errno ") and repr(path) in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("line,message", [
+    ("train.epohcs=500", "unknown config key 'train.epohcs'"),
+    ("train.alpha=50", "config key 'train.alpha' is given twice"),
+    ("  data.source = bars:20,8,8  # again", "config key 'data.source' is given twice"),
+], ids=["misspelled", "repeated", "repeated-spaced"])
+@pytest.mark.parametrize("command", ["train", "gradcheck", "eval"])
+def test_config_key_refused_naming_its_line(tmp_path, capsys, command, line, message):
+    # BASE_KEYS fill lines 1-12, so ``line`` is line 13
+    path = tmp_path / "keys.cfg"
+    path.write_text(f"{BASE_KEYS}{line}\nout.model={tmp_path / 'm.cnnf'}\n"
+                    f"out.csv={tmp_path / 'm.csv'}\n")
+    cfg = str(path)
+    argv = ["eval", zero_model(tmp_path), cfg] if command == "eval" else [command, cfg]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}:13: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_readme_key_table_is_the_accepted_key_set():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("| key | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    keys = [row.split("`")[1] for row in table.splitlines()[1:]]
+    assert len(keys) == len(set(keys)) == 14
+    assert set(keys) == cli.CONFIG_KEYS
 
 
 class TestUsage:

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from convkit import tensor
+from convkit import dataio, tensor
+from convkit import network as nm
 from convkit.dataio import (
     Dataset,
     dataset_from_idx,
@@ -17,6 +18,7 @@ from convkit.dataio import (
     synth_bars,
 )
 from convkit.errors import ConvkitError, DomainError, ParseError, ShapeError, TruncationError
+from convkit.layers import ConvGeometry, PoolGeometry
 
 
 # --- test helpers: writers that mirror the published byte layouts --------
@@ -147,10 +149,13 @@ class TestIdxImages:
             load_idx_images(io.BytesIO(header + blob[16:]))
 
     def test_extra_payload_rejected(self):
+        # a byte past the payload is trailing data, as in the model file
         a = np.zeros((2, 2), dtype=np.uint8)
         blob = write_idx_images([a]) + b"\x00"
-        with pytest.raises(TruncationError):
+        with pytest.raises(ParseError) as e:
             load_idx_images(io.BytesIO(blob))
+        assert type(e.value) is ParseError
+        assert str(e.value) == "trailing bytes after IDX image pixels: the header gives 20 bytes"
 
     def test_dimension_overflow_rejected(self):
         # 2**50 pixels take 2**53 bytes as float64
@@ -171,13 +176,15 @@ class TestIdxImages:
             load_idx_images(stream)
         assert stream.bytes_read == 16
         monkeypatch.undo()
+        # a bad magic is refused once its 4 bytes are read
         stream = CountingStream(write_idx_labels([1, 2]) + blob[8:])
         with pytest.raises(ParseError, match="magic"):
             load_idx_images(stream)
-        assert stream.bytes_read == 16
+        assert stream.bytes_read == 4
         # trailing data is seen one byte past the payload
         stream = CountingStream(blob + bytes(1000))
-        with pytest.raises(TruncationError, match="more than 2048 bytes, header claims 2048"):
+        with pytest.raises(ParseError, match="trailing bytes after IDX image pixels: "
+                                             "the header gives 2064 bytes"):
             load_idx_images(stream)
         assert stream.bytes_read == 16 + 2048 + 1
 
@@ -218,9 +225,65 @@ class TestIdxLabels:
         assert stream.bytes_read == 8
         monkeypatch.undo()
         stream = CountingStream(blob + bytes(50))
-        with pytest.raises(TruncationError, match="more than 100 bytes"):
+        with pytest.raises(ParseError, match="trailing bytes after IDX labels: "
+                                             "the header gives 108 bytes"):
             load_idx_labels(stream)
         assert stream.bytes_read == 8 + 100 + 1
+
+
+# The three binary formats, each a small complete file: (loader, file, its
+# sections in order as (name, size), what a trailing byte is said to follow).
+def _model_blob():
+    buf = io.BytesIO()
+    arch = nm.Architecture(ConvGeometry(4, 4, 1, 3, 3, 1), PoolGeometry(2, 2), (2,))
+    nm.save(nm.init(arch, seed=3), buf)
+    return buf.getvalue()
+
+
+FORMATS = {
+    "model": (nm.load, _model_blob(), [("magic", 4), ("version", 4), ("conv geometry", 32),
+                                        ("pool geometry", 8), ("dense count", 4),
+                                        ("dense[0] geometry", 9), ("conv kernels", 72),
+                                        ("conv biases", 8), ("dense[0] weights", 16),
+                                        ("dense[0] biases", 16)], "parameters"),
+    "idx-images": (load_idx_images,
+                   write_idx_images([np.arange(6, dtype=np.uint8).reshape(2, 3)] * 2),
+                   [("IDX image magic", 4), ("IDX image extents", 12),
+                    ("IDX image pixels", 12)], "IDX image pixels"),
+    "idx-labels": (load_idx_labels, write_idx_labels([1, 0, 2]),
+                   [("IDX label magic", 4), ("IDX label count", 4), ("IDX labels", 3)],
+                   "IDX labels"),
+}
+
+
+class TestOneReader:
+    """The model file and both IDX kinds are read through one reader: a
+    cut names the section it falls in, and a byte past the payload is
+    trailing data, read and refused one byte past the file."""
+
+    @pytest.mark.parametrize("kind", sorted(FORMATS))
+    def test_cut_at_every_offset_names_its_section(self, kind):
+        load, blob, sections, _ = FORMATS[kind]
+        start = 0
+        for name, size in sections:
+            for cut in range(start, start + size):
+                with pytest.raises(TruncationError) as e:
+                    load(io.BytesIO(blob[:cut]))
+                assert str(e.value) == (f"file truncated in section '{name}' (need {size} "
+                                        f"bytes at offset {start}, have {cut - start})")
+            start += size
+        assert start == len(blob)
+        load(io.BytesIO(blob))
+
+    @pytest.mark.parametrize("kind", sorted(FORMATS))
+    def test_one_trailing_byte_is_a_parse_error(self, kind):
+        load, blob, _, last = FORMATS[kind]
+        stream = CountingStream(blob + bytes(1000))
+        with pytest.raises(ParseError) as e:
+            load(stream)
+        assert type(e.value) is ParseError
+        assert str(e.value) == f"trailing bytes after {last}: the header gives {len(blob)} bytes"
+        assert stream.bytes_read == len(blob) + 1
 
 
 class TestIdxRoundTrip:
@@ -382,6 +445,51 @@ class TestPgm:
         with pytest.raises(ParseError) as e:
             load_pgm(io.BytesIO(b"P5 " + b"x" * 40 + b" 2 255\n"))
         assert str(e.value) == f"PGM width {b'x' * 32!r}... (40 bytes) is not an integer"
+
+    def test_non_pgm_read_only_to_its_header_prefix(self):
+        stream = CountingStream(bytes(4 << 20))
+        with pytest.raises(ParseError) as e:
+            load_pgm(stream)
+        assert str(e.value) == "PGM header does not end within its first 2097152 bytes"
+        assert stream.bytes_read == dataio._PGM_HEAD_BYTES == 2 << 20
+
+    @pytest.mark.parametrize("digits", [4000, 5000])
+    def test_overlong_field_refused_before_int(self, digits):
+        # 4,000 nines pass int() and 5,000 do not; both are refused before int()
+        with pytest.raises(ParseError) as e:
+            load_pgm(io.BytesIO(b"P5 " + b"9" * digits + b" 2 255\n"))
+        assert type(e.value) is ParseError
+        assert str(e.value) == (f"PGM width {b'9' * 32!r}... ({digits} bytes) "
+                                f"is longer than 64 bytes")
+        assert len(str(e.value)) < 200
+
+    def test_field_of_64_bytes_read(self):
+        blob = b"P5 " + b"0" * 63 + b"2 1 +" + b"0" * 60 + b"255\n" + bytes([4, 5])
+        assert load_pgm(io.BytesIO(blob)).tolist() == [[4, 5]]
+        with pytest.raises(ParseError, match="PGM height .* is longer than 64 bytes"):
+            load_pgm(io.BytesIO(b"P5 2 " + b"0" * 64 + b"1 255\n" + bytes(2)))
+
+    def test_pixels_past_the_prefix_are_taken_from_the_file(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_PGM_HEAD_BYTES", 16)
+        header = b"P5 4 5 255\n"  # 11 bytes: the prefix holds 5 pixels
+        pixels = bytes(range(20))
+        stream = CountingStream(header + pixels + bytes(100))
+        assert load_pgm(stream).tobytes() == pixels
+        assert stream.bytes_read == len(header) + len(pixels)
+        with pytest.raises(TruncationError) as e:
+            load_pgm(io.BytesIO(header + pixels[:-3]))
+        assert str(e.value) == ("file truncated in section 'PGM pixels' "
+                                "(need 15 bytes at offset 16, have 12)")
+
+    @pytest.mark.parametrize("blob", [
+        b"P5 # a comment that runs past the prefix\n2 2 255\n" + bytes(4),
+        b"P5 2 2 0000000255\n" + bytes(4),  # maxval cut by the prefix
+    ], ids=["comment", "token"])
+    def test_header_past_the_prefix_refused(self, monkeypatch, blob):
+        monkeypatch.setattr(dataio, "_PGM_HEAD_BYTES", 16)
+        with pytest.raises(ParseError) as e:
+            load_pgm(io.BytesIO(blob))
+        assert str(e.value) == "PGM header does not end within its first 16 bytes"
 
 
 class TestNormalize:
