@@ -25,6 +25,7 @@ from . import network as net_mod
 from .activations import ActivationKind
 from .dataio import one_hot
 from .errors import DomainError
+from .layers import _KeptResults
 from .losses import LossKind, loss
 from .tensor import ZERO
 
@@ -123,7 +124,9 @@ def check_network(
 
     Each parameter is perturbed by h = H_REL * max(1, |theta|) in a copy
     of ``net``, so ``net`` itself is never written; the report carries one
-    row per ``param_groups`` entry.
+    row per ``param_groups`` entry. The re-forwards run in a
+    ``layers._KeptResults`` scope, so a re-forward whose conv or pool
+    input is bit-identical to the one before reuses its results.
     """
     net = replace(net)
     image, index = sample
@@ -141,43 +144,46 @@ def check_network(
     params = net.params
 
     results = []
-    for k, (name, group, shape) in enumerate(net_mod.param_groups(net)):
-        # The two conv groups reach every trace; W and b of dense[i]
-        # (groups 2 + 2i and 3 + 2i) reach traces 2 + i on.
-        reads = _decision_reads(net, 0 if k < 2 else k // 2 + 1)
-        errors: list[float] = []
-        checked: list[int] = []
-        n_excluded = 0
-        for idx in range(group.start, group.stop):
-            # Python floats give the float64 scalars' IEEE results.
-            theta = float(params[idx])
-            h = H_REL * max(1.0, abs(theta))
-            params[idx] = theta + h
-            loss_hi, pat_hi = run(reads)
-            params[idx] = theta - h
-            loss_lo, pat_lo = run(reads)
-            params[idx] = theta
-            if pat_hi != pat_lo:
-                n_excluded += 1
-                continue
-            numeric = (loss_hi - loss_lo) / (2.0 * h)
-            errors.append(relative_error(analytic[idx], numeric))
-            checked.append(idx - group.start)
-        max_err = max(errors) if errors else 0.0
-        mean_err = sum(errors) / len(errors) if errors else 0.0
-        argmax = ()
-        if errors:
-            flat = checked[errors.index(max_err)]
-            argmax = tuple(int(i) for i in np.unravel_index(flat, shape))
-        results.append(
-            GroupResult(
-                group=name,
-                max_rel_err=max_err,
-                mean_rel_err=mean_err,
-                argmax_coord=argmax,
-                n_checked=len(errors),
-                n_excluded=n_excluded,
-                passed=max_err <= threshold,
+    # Only the conv groups change the conv and pool inputs: every other
+    # re-forward gets the kept conv and pool results back.
+    with _KeptResults():
+        for k, (name, group, shape) in enumerate(net_mod.param_groups(net)):
+            # The two conv groups reach every trace; W and b of dense[i]
+            # (groups 2 + 2i and 3 + 2i) reach traces 2 + i on.
+            reads = _decision_reads(net, 0 if k < 2 else k // 2 + 1)
+            errors: list[float] = []
+            checked: list[int] = []
+            n_excluded = 0
+            for idx in range(group.start, group.stop):
+                # Python floats give the float64 scalars' IEEE results.
+                theta = float(params[idx])
+                h = H_REL * max(1.0, abs(theta))
+                params[idx] = theta + h
+                loss_hi, pat_hi = run(reads)
+                params[idx] = theta - h
+                loss_lo, pat_lo = run(reads)
+                params[idx] = theta
+                if pat_hi != pat_lo:
+                    n_excluded += 1
+                    continue
+                numeric = (loss_hi - loss_lo) / (2.0 * h)
+                errors.append(relative_error(analytic[idx], numeric))
+                checked.append(idx - group.start)
+            max_err = max(errors) if errors else 0.0
+            mean_err = sum(errors) / len(errors) if errors else 0.0
+            argmax = ()
+            if errors:
+                flat = checked[errors.index(max_err)]
+                argmax = tuple(int(i) for i in np.unravel_index(flat, shape))
+            results.append(
+                GroupResult(
+                    group=name,
+                    max_rel_err=max_err,
+                    mean_rel_err=mean_err,
+                    argmax_coord=argmax,
+                    n_checked=len(errors),
+                    n_excluded=n_excluded,
+                    passed=max_err <= threshold,
+                )
             )
-        )
     return GradReport(groups=results, threshold=threshold)

@@ -34,6 +34,15 @@ Conventions fixed here once:
   per window. Each table is built once, kept read-only in a small cache,
   and never returned: every output is a new array. The gathers replaced
   strided views without changing any sum order.
+* Inside a ``_KeptResults`` scope, which only ``gradcheck.check_network``
+  enters, ``conv_forward`` and ``maxpool_forward`` each keep their last
+  call's key and results, the results made read-only, and a call whose
+  key matches returns the kept results. The conv key is the geometry,
+  the image's dtype, shape and bytes and the bytes of the kernels and
+  biases; the pool key the geometry, the input's shape and its bytes. A
+  conv hit still calls ``apply`` on the kept pre-activation, so the
+  activation is called as often as without the scope. Outside the scope
+  each layer keeps nothing and returns new, writable arrays.
 """
 
 from __future__ import annotations
@@ -188,6 +197,27 @@ class ForwardTrace:
     winners: np.ndarray | None = None
 
 
+# The kept results of conv_forward and maxpool_forward, by layer: None
+# outside a _KeptResults scope, a dict of (key, *results) inside one.
+_kept: dict | None = None
+
+
+class _KeptResults:
+    """The scope in which conv_forward and maxpool_forward return their
+    last call's results for a call with the same key. Entering starts with
+    nothing kept; leaving, also on an exception, restores what was kept
+    before."""
+
+    def __enter__(self) -> "_KeptResults":
+        global _kept
+        self._outer, _kept = _kept, {}
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _kept
+        _kept = self._outer
+
+
 # Index tables depend only on a map shape and a window, so each is built
 # once and kept read-only. The cache is emptied when it reaches _MAX_TABLES
 # entries, so a run over many geometries cannot grow it without bound. A
@@ -312,14 +342,26 @@ def conv_forward(
     from +0.0, then the biases are added.
 
     Returns the pre-activation feature maps, the ReLU maps, and the trace
-    caching the input image and pre-activation.
+    caching the input image and pre-activation. Inside a ``_KeptResults``
+    scope the pre-activation is read-only and may be a kept one.
     """
     g = bank.geometry
+    if _kept is not None:
+        pixels = np.asarray(image)
+        key = (g, pixels.dtype, pixels.shape, pixels.tobytes(),
+               bank.kernels.tobytes(), bank.biases.tobytes())
+        kept = _kept.get("conv")
+        if kept is not None and kept[0] == key:
+            preact = kept[1]
+            return preact, apply(ActivationKind.RELU, preact), ForwardTrace(image, preact)
     h1, w1, d1 = g.output_dims
     taps = _taps(image, g)
     preact = _by_kernel_group(_tap_sums, bank.kernels.reshape(d1, -1, 1), taps)
     preact = preact.reshape(d1, h1, w1)
     preact += bank.biases[:, None, None]  # in place: sum_rows returns a new array
+    if _kept is not None:
+        preact.flags.writeable = False
+        _kept["conv"] = (key, preact)
     act = apply(ActivationKind.RELU, preact)
     return preact, act, ForwardTrace(image, preact)
 
@@ -334,16 +376,27 @@ def maxpool_forward(
     row-major (du, dv) order, so argmax's first-maximum rule along the
     row is exactly the tie-break contract. A winner is the cached
     per-entry part at the argmax plus the output's per-output part.
+    Inside a ``_KeptResults`` scope the pooled map and the winners are
+    read-only and may be kept ones.
     """
     act = np.asarray(act, dtype=tensor.F64)
     if act.ndim != 3:
         raise ShapeError(f"maxpool expects rank 3, got rank {act.ndim}")
+    if _kept is not None:
+        key = (g, act.shape, act.tobytes())
+        kept = _kept.get("pool")
+        if kept is not None and kept[0] == key:
+            return kept[1], ForwardTrace(act, None, kept[2])
     rows, per_entry, per_output, pooled_shape = _pool_windows(act.shape, g)
     sel = act.take(rows).argmax(axis=1)
     winners = (per_entry.take(sel) + per_output).reshape(pooled_shape)
     # Gather the winners themselves (not a max, which may return the
     # other zero of a -0.0/0.0 tie or a different NaN).
-    return act.take(winners), ForwardTrace(act, None, winners)
+    pooled = act.take(winners)
+    if _kept is not None:
+        pooled.flags.writeable = winners.flags.writeable = False
+        _kept["pool"] = (key, pooled, winners)
+    return pooled, ForwardTrace(act, None, winners)
 
 
 def maxpool_backward(grad_pooled: np.ndarray, trace: ForwardTrace) -> np.ndarray:

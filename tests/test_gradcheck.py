@@ -1,9 +1,13 @@
+import importlib
 import math
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import convkit
+from convkit import layers, tensor
 from convkit import network as nm
 from convkit.activations import ActivationKind
 from convkit.dataio import one_hot
@@ -291,9 +295,17 @@ def conv_sign_near_kink():
     return with_corner_preact(lambda pre: 1e-9)
 
 
+def readme_uint8_image():
+    """The README net on bars sample 0 scaled to 0-255 and held as uint8."""
+    net, (image, label) = readme_bars0()
+    return net, (np.round(image * 255.0).astype(np.uint8), label)
+
+
 class TestFullPatternReference:
     """The report with patterns from the perturbed layer on equals the
-    report with full patterns, field by field."""
+    report with full patterns, field by field. The reference re-forwards
+    outside the kept-results scope, so each case also checks the kept
+    conv and pool results against recomputed ones."""
 
     CASES = {
         "readme-bars-sample0": readme_bars0,
@@ -301,10 +313,17 @@ class TestFullPatternReference:
         "dense1-near-kink": dense1_near_kink,
         "conv-winner-near-tie": conv_winner_near_tie,
         "conv-sign-near-kink": conv_sign_near_kink,
+        "readme-uint8-image": readme_uint8_image,
+        "readme-split-kernel-groups": readme_bars0,
     }
+    # A product budget per case: 4 of the README bank's kernels fit it
+    # (9 taps x 36 outputs x 8 bytes each), so the bank runs as two groups.
+    SLAB_BYTES = {"readme-split-kernel-groups": 4 * 9 * 36 * 8}
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_same_report(self, case):
+    def test_same_report(self, case, monkeypatch):
+        if case in self.SLAB_BYTES:
+            monkeypatch.setattr(tensor, "SLAB_BYTES", self.SLAB_BYTES[case])
         net, sample_ = self.CASES[case]()
         got = check_network(net, sample_)
         want = full_pattern_check_network(net, sample_)
@@ -347,6 +366,78 @@ class TestFullPatternReference:
                 assert np.array_equal(traces[k].preact >= 0, base[k].preact >= 0)
         groups = {g.group: g for g in check_network(net, (image, label)).groups}
         assert groups["conv.biases"].n_excluded == 1
+
+
+# Calls per check_network on the README net and bars sample 0: one
+# forward and one backward for the analytic gradient, then two forwards
+# and two losses for each of the 1,886 parameters. The kept conv and pool
+# results leave every count as it was: a conv hit still calls apply.
+README_CALLS = {
+    "network.forward": 3773,
+    "layers.conv_forward": 3773,
+    "layers.maxpool_forward": 3773,
+    "layers.dense_forward": 7546,
+    "tensor.matvec": 7546,
+    "activations.apply": 11320,
+    "losses.loss": 3772,
+    "network.backward": 1,
+}
+
+
+def convkit_modules():
+    """The convkit package and every module in it, each imported."""
+    return [convkit] + [importlib.import_module(f"convkit.{m.name}")
+                        for m in pkgutil.iter_modules(convkit.__path__)]
+
+
+def counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_call_counts_at_every_binding(monkeypatch):
+    # network imports conv_forward and the others by name, so each
+    # function is counted at every convkit binding that holds it.
+    calls = dict.fromkeys(README_CALLS, 0)
+    for name in README_CALLS:
+        module, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"convkit.{module}"), attr)
+        wrapper = counting(calls, name, fn)
+        for mod in convkit_modules():
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, wrapper)
+    net, sample0 = readme_bars0()
+    check_network(net, sample0)
+    assert calls == README_CALLS
+
+
+def test_no_convkit_attribute_is_wrapped():
+    """A ``functools`` decorator sets ``__wrapped__``, which fails the
+    benchmark's tracer test; this catches it in the tier-1 suite. It goes
+    away when that test looks only for the tracer's own wrappers (ROADMAP
+    item 1)."""
+    for mod in convkit_modules():
+        wrapped = [k for k, v in vars(mod).items() if getattr(v, "__wrapped__", None)]
+        assert wrapped == [], mod.__name__
+
+
+class TestKeptResultsScope:
+    def test_off_after_check_network_returns(self):
+        net, sample0 = readme_bars0()
+        check_network(net, sample0)
+        assert layers._kept is None
+
+    def test_off_after_check_network_raises(self):
+        net = nm.init(FIXTURE_ARCH, 10)
+        image = np.full((1, 8, 8), np.inf)
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError,
+                                                          match="loss is not finite"):
+            check_network(net, (image, 0))
+        assert layers._kept is None
 
 
 class TestMutationSensitivity:

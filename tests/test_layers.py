@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -1182,6 +1183,121 @@ class TestMaxPoolBackward:
         _, trace = maxpool_forward(act, PoolGeometry(2, 2))
         with pytest.raises(ShapeError):
             maxpool_backward(np.zeros((1, 3, 3)), trace)
+
+
+# --- kept results --------------------------------------------------------
+
+
+KEPT_CONV = ConvGeometry(8, 8, 2, 3, 3, 3)
+KEPT_POOL = PoolGeometry(2, 2)
+
+
+class TestKeptResults:
+    """Inside ``_KeptResults`` a call whose key matches the last call's
+    returns the kept, read-only results; every other call computes, and
+    what it returns has the bits a call outside the scope returns."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(41)
+        g = KEPT_CONV
+        bank = KernelBank(rng.standard_normal((g.n_kernels, g.in_c, g.k_h, g.k_w)),
+                          rng.standard_normal(g.n_kernels), g)
+        return rng.standard_normal((g.in_c, g.in_h, g.in_w)), bank
+
+    @staticmethod
+    def conv_bytes(out):
+        preact, act, trace = out
+        return [preact.tobytes(), act.tobytes(), trace.preact.tobytes(),
+                np.asarray(trace.input).tobytes()]
+
+    @staticmethod
+    def pool_bytes(out):
+        pooled, trace = out
+        return [pooled.tobytes(), trace.winners.tobytes(), trace.input.tobytes()]
+
+    def test_outside_the_scope_every_call_is_new_and_writable(self):
+        image, bank = self.inputs()
+        convs = [conv_forward(image, bank) for _ in range(2)]
+        pools = [maxpool_forward(convs[0][1], KEPT_POOL) for _ in range(2)]
+        arrays = [a for preact, act, _ in convs for a in (preact, act)]
+        arrays += [a for pooled, trace in pools for a in (pooled, trace.winners)]
+        assert layers._kept is None
+        assert all(a.flags.writeable for a in arrays)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+
+    def test_a_repeat_in_the_scope_is_a_fresh_call(self):
+        image, bank = self.inputs()
+        fresh = conv_forward(image, bank)
+        fresh_pool = maxpool_forward(fresh[1], KEPT_POOL)
+        with layers._KeptResults():
+            convs = [conv_forward(image, bank) for _ in range(2)]
+            pools = [maxpool_forward(act, KEPT_POOL) for _, act, _ in convs]
+        (first, again), (pool_first, pool_again) = convs, pools
+        assert again[0] is first[0] and not again[0].flags.writeable
+        assert again[1] is not first[1]  # the hit applied ReLU again
+        assert pool_again[0] is pool_first[0] and not pool_again[0].flags.writeable
+        assert pool_again[1].winners is pool_first[1].winners
+        assert not pool_again[1].winners.flags.writeable
+        assert pool_again[1].input is again[1]
+        for out in convs:
+            assert self.conv_bytes(out) == self.conv_bytes(fresh)
+        for out in pools:
+            assert self.pool_bytes(out) == self.pool_bytes(fresh_pool)
+
+    @pytest.mark.parametrize("change", ["pixel", "kernel", "bias"])
+    def test_an_in_place_change_recomputes(self, change):
+        image, bank = self.inputs()
+        array, index = {"pixel": (image, (1, 4, 5)), "kernel": (bank.kernels, (2, 1, 0, 2)),
+                        "bias": (bank.biases, (1,))}[change]
+        with layers._KeptResults():
+            first = conv_forward(image, bank)
+            array[index] += 0.5
+            again = conv_forward(image, bank)
+        assert again[0].tobytes() != first[0].tobytes()
+        assert self.conv_bytes(again) == self.conv_bytes(conv_forward(image, bank))
+
+    def test_an_in_place_change_of_the_pool_input_recomputes(self):
+        act = conv_forward(*self.inputs())[1]
+        with layers._KeptResults():
+            first = maxpool_forward(act, KEPT_POOL)
+            act[2, 4, 5] = first[0].max() + 1.0
+            again = maxpool_forward(act, KEPT_POOL)
+        assert again[0].tobytes() != first[0].tobytes()
+        assert self.pool_bytes(again) == self.pool_bytes(maxpool_forward(act, KEPT_POOL))
+
+    def test_another_geometry_recomputes(self):
+        image, bank = self.inputs()
+        padded = KernelBank(bank.kernels, bank.biases, replace(KEPT_CONV, pad=1))
+        with layers._KeptResults():
+            conv_forward(image, bank)
+            conv = conv_forward(image, padded)
+            maxpool_forward(conv[1], KEPT_POOL)
+            pool = maxpool_forward(conv[1], PoolGeometry(2, 1))
+        assert self.conv_bytes(conv) == self.conv_bytes(conv_forward(image, padded))
+        assert conv[0].shape == (3, 8, 8)
+        want = maxpool_forward(conv[1], PoolGeometry(2, 1))
+        assert self.pool_bytes(pool) == self.pool_bytes(want)
+        assert pool[0].shape == (3, 7, 7)
+
+    def test_an_image_of_another_dtype_with_the_same_bytes_recomputes(self):
+        image, bank = self.inputs()
+        as_ints = image.view(np.int64)
+        with layers._KeptResults():
+            first = conv_forward(image, bank)
+            again = conv_forward(as_ints, bank)
+        assert again[0].tobytes() != first[0].tobytes()
+        assert self.conv_bytes(again) == self.conv_bytes(conv_forward(as_ints, bank))
+
+    def test_leaving_restores_the_outer_scope_also_on_an_exception(self):
+        image, bank = self.inputs()
+        with layers._KeptResults():
+            outer = conv_forward(image, bank)
+            with pytest.raises(ShapeError), layers._KeptResults():
+                assert layers._kept == {}
+                conv_forward(image[:1], bank)
+            assert conv_forward(image, bank)[0] is outer[0]
+        assert layers._kept is None
 
 
 # --- dense ---------------------------------------------------------------
