@@ -20,7 +20,7 @@ import math
 import os
 import secrets
 import sys
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, NamedTuple
 
 import numpy as np
 
@@ -50,20 +50,69 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
 
+
+class Value(NamedTuple):
+    """A config value's kind (``int``, finite ``float``, comma-separated
+    ``widths`` or ``text``) and the bounds of a number or of each width."""
+
+    kind: str
+    minimum: int | None = None
+    maximum: int | None = None
+
+
 # The config keys the README documents; each command reads those it needs.
-CONFIG_KEYS = frozenset((
-    "conv.kernels", "conv.size", "conv.stride", "conv.pad", "pool.window", "pool.stride",
-    "dense.widths", "train.alpha", "train.epochs", "train.batch_size", "train.seed",
-    "data.source", "out.model", "out.csv",
-))
+SCHEMA = {
+    "conv.kernels": Value("int", 1),
+    "conv.size": Value("int", 1),
+    "conv.stride": Value("int", 1),
+    "conv.pad": Value("int", 0),
+    "pool.window": Value("int", 1),
+    "pool.stride": Value("int", 1),
+    "dense.widths": Value("widths", 1),
+    "train.alpha": Value("float", 0),
+    "train.epochs": Value("int", 1),
+    "train.batch_size": Value("int", 1),
+    "train.seed": Value("int", 0, 2**64 - 1),  # the generators take an unsigned 64-bit seed
+    "data.source": Value("text"),
+    "out.model": Value("text"),
+    "out.csv": Value("text"),
+}
 
 
-class RunConfig:
-    """Typed access to the flat key=value config with diagnostics that
-    name the offending key."""
+def _parse(value: Value, raw: str, name: str) -> object:
+    """``raw`` as ``value`` declares it; each error message starts with ``name``."""
+    kind, low, high = value
+    if kind == "text":
+        return raw
+    if kind == "widths":
+        try:
+            ws = tuple(int(p) for p in raw.split(","))
+        except ValueError:
+            raise ConfigError(f"{name} must be comma-separated integers") from None
+        if any(w < low for w in ws):
+            raise ConfigError(f"{name} needs positive widths, got {raw!r}")
+        return ws
+    try:
+        v = int(raw) if kind == "int" else float(raw)
+    except ValueError:
+        raise ConfigError(f"{name} must be {'an integer' if kind == 'int' else 'a number'}, "
+                          f"got {raw!r}") from None
+    if kind == "float" and not math.isfinite(v):
+        raise ConfigError(f"{name} must be finite, got {raw!r}")
+    if low is not None and v < low:
+        raise ConfigError(f"{name} must be >= {low}, got {v}")
+    if high is not None and v > high:
+        raise ConfigError(f"{name} must be <= {high}, got {v}")
+    return v
 
-    def __init__(self, pairs: dict[str, str]):
-        self.pairs = pairs
+
+class RunConfig(dict):
+    """The flat key=value config's values by key, each parsed and checked
+    against ``SCHEMA`` as the file is read. Reading a key the file does
+    not give is a ``ConfigError`` naming it."""
+
+    def __missing__(self, key: str):
+        raise ConfigError(f"missing required config key '{key}'")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -72,7 +121,7 @@ class RunConfig:
                 text = f.read()
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
-        pairs: dict[str, str] = {}
+        cfg = cls()
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -80,64 +129,17 @@ class RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
+            if key not in SCHEMA:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in pairs:
+            if key in cfg:
                 raise ConfigError(f"{path}:{lineno}: config key {key!r} is given twice")
-            pairs[key] = value
-        return cls(pairs)
-
-    def require(self, key: str) -> str:
-        if key not in self.pairs:
-            raise ConfigError(f"missing required config key '{key}'")
-        return self.pairs[key]
-
-    def intval(
-        self, key: str, minimum: int | None = None, maximum: int | None = None
-    ) -> int:
-        raw = self.require(key)
-        try:
-            v = int(raw)
-        except ValueError:
-            raise ConfigError(f"config key '{key}' must be an integer, got {raw!r}") from None
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"config key '{key}' must be >= {minimum}, got {v}")
-        if maximum is not None and v > maximum:
-            raise ConfigError(f"config key '{key}' must be <= {maximum}, got {v}")
-        return v
-
-    def floatval(self, key: str) -> float:
-        """A finite number >= 0."""
-        raw = self.require(key)
-        try:
-            v = float(raw)
-        except ValueError:
-            raise ConfigError(f"config key '{key}' must be a number, got {raw!r}") from None
-        if not math.isfinite(v):
-            raise ConfigError(f"config key '{key}' must be finite, got {raw!r}")
-        if v < 0:
-            raise ConfigError(f"config key '{key}' must be >= 0, got {v}")
-        return v
-
-    def widths(self, key: str) -> tuple[int, ...]:
-        raw = self.require(key)
-        try:
-            ws = tuple(int(p) for p in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"config key '{key}' must be comma-separated integers") from None
-        if not ws or any(w < 1 for w in ws):
-            raise ConfigError(f"config key '{key}' needs positive widths, got {raw!r}")
-        return ws
-
-
-def _seed(cfg: RunConfig) -> int:
-    # The generators take an unsigned 64-bit seed.
-    return cfg.intval("train.seed", 0, 2**64 - 1)
+            cfg[key] = _parse(SCHEMA[key], value, f"{path}:{lineno}: config key {key!r}")
+        return cfg
 
 
 def _load_dataset(cfg: RunConfig, class_count: int) -> Dataset:
     """The dataset ``data.source`` names, with labels in [0, class_count)."""
-    source = cfg.require("data.source")
+    source = cfg["data.source"]
     if source.startswith("bars:"):
         parts = source[len("bars:"):].split(",")
         if len(parts) != 3:
@@ -151,7 +153,7 @@ def _load_dataset(cfg: RunConfig, class_count: int) -> Dataset:
                 f"bars data has 2 classes but the network has {class_count}"
             )
         try:
-            return synth_bars(n, h, w, seed=_seed(cfg))
+            return synth_bars(n, h, w, seed=cfg["train.seed"])
         except (DomainError, ShapeError) as e:
             raise ConfigError(f"data.source {source!r}: {e}") from e
     if source.startswith("idx:"):
@@ -171,14 +173,12 @@ def _network_and_data(cfg: RunConfig) -> tuple[net_mod.Network, Dataset]:
     """The dataset the config names and the network the config describes,
     initialized from ``train.seed``. Every key is read before any data is
     loaded."""
-    seed = _seed(cfg)
-    if cfg.intval("conv.stride", 1) != 1:
+    seed = cfg["train.seed"]
+    if cfg["conv.stride"] != 1:
         raise ConfigError("training and gradient checking support conv.stride=1 only")
-    size = cfg.intval("conv.size", 1)
-    n_kernels = cfg.intval("conv.kernels", 1)
-    pad = cfg.intval("conv.pad", 0)
-    pool = (cfg.intval("pool.window", 1), cfg.intval("pool.stride", 1))
-    widths = cfg.widths("dense.widths")
+    size, n_kernels, pad = cfg["conv.size"], cfg["conv.kernels"], cfg["conv.pad"]
+    pool = (cfg["pool.window"], cfg["pool.stride"])
+    widths = cfg["dense.widths"]
     try:
         # Refuse what the keys alone make too large before any data is
         # read: a 1x1 conv output and no pooling are the smallest arrays
@@ -265,15 +265,13 @@ def _check_outputs(model_path: str, csv_path: str) -> None:
 
 def cmd_train(config_path: str) -> int:
     cfg = RunConfig.from_file(config_path)
-    # Validate every knob before any heavy work.
     train_cfg = net_mod.TrainConfig(
-        learning_rate=cfg.floatval("train.alpha"),
-        epochs=cfg.intval("train.epochs", 1),
-        batch_size=cfg.intval("train.batch_size", 1),
-        rng_seed=_seed(cfg),
+        learning_rate=cfg["train.alpha"],
+        epochs=cfg["train.epochs"],
+        batch_size=cfg["train.batch_size"],
+        rng_seed=cfg["train.seed"],
     )
-    model_path = cfg.require("out.model")
-    csv_path = cfg.require("out.csv")
+    model_path, csv_path = cfg["out.model"], cfg["out.csv"]
     _check_outputs(model_path, csv_path)
     net, data = _network_and_data(cfg)
     net, history = net_mod.train(net, data, train_cfg)

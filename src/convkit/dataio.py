@@ -70,8 +70,10 @@ class _Reader:
         self.f = f
         self.pos = pos
 
-    def take(self, n: int, section: str) -> bytes:
-        chunk = self.f.read(n)
+    def take(self, n: int, section: str, read: bytes = b"") -> bytes:
+        """The next ``n`` bytes as one section, whose first bytes ``read``
+        the caller has already read from the stream."""
+        chunk = read + self.f.read(n - len(read))
         if len(chunk) < n:
             raise TruncationError(
                 f"file truncated in section '{section}' "
@@ -212,11 +214,7 @@ def load_pgm(source: str | BinaryIO) -> np.ndarray:
             raise TruncationError("PGM header ended after maxval, before its separator byte")
         pos += 1  # single whitespace byte after maxval
         need = width * height
-        pixels = head[pos:pos + need]
-        if len(head) == limit and len(pixels) < need:  # the file goes on past the prefix
-            pixels += _Reader(f, len(head)).take(need - len(pixels), "PGM pixels")
-    if len(pixels) < need:
-        raise TruncationError(f"PGM payload holds {len(pixels)} bytes, header claims {need}")
+        pixels = _Reader(f, pos).take(need, "PGM pixels", head[pos:pos + need])
     flat = np.frombuffer(pixels, dtype=np.uint8)
     if maxval != 255:
         over = np.flatnonzero(flat > maxval)

@@ -688,12 +688,78 @@ def test_config_key_refused_naming_its_line(tmp_path, capsys, command, line, mes
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
-def test_readme_key_table_is_the_accepted_key_set():
+@pytest.mark.parametrize("line,message", [
+    ("conv.size=0", "config key 'conv.size' must be >= 1, got 0"),
+    ("train.alpha=x", "config key 'train.alpha' must be a number, got 'x'"),
+], ids=["conv.size", "train.alpha"])
+@pytest.mark.parametrize("command", ["train", "gradcheck", "eval"])
+def test_bad_value_refused_whichever_command_runs(tmp_path, capsys, command, line, message):
+    # eval reads neither key and gradcheck does not read train.alpha; the
+    # file is checked whole when it is read
+    cfg = train_config(tmp_path, extra=line)
+    lineno = Path(cfg).read_text().splitlines().index(line) + 1
+    argv = ["eval", zero_model(tmp_path), cfg] if command == "eval" else [command, cfg]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}:{lineno}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("line,lineno,message", [
+    ("train.epochs=0", 9, "must be >= 1, got 0"),
+    (SEED_2_64, 11, "must be <= 18446744073709551615, got 18446744073709551616"),
+    ("train.alpha=nan", 8, "must be finite, got 'nan'"),
+    ("dense.widths=0,2", 7, "needs positive widths, got '0,2'"),
+    ("conv.pad=1.5", 4, "must be an integer, got '1.5'"),
+], ids=["int", "int-maximum", "float", "widths", "int-not-integer"])
+def test_bad_value_names_its_line(tmp_path, line, lineno, message):
+    cfg = train_config(tmp_path, extra=line)
+    with pytest.raises(cli.ConfigError) as e:
+        cli.RunConfig.from_file(cfg)
+    key = line.split("=")[0]
+    assert str(e.value) == f"{cfg}:{lineno}: config key '{key}' {message}"
+
+
+def readme_section(heading: str) -> str:
+    """The README text from ``heading`` to the next blank line after it."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    table = readme.split("| key | meaning |\n", 1)[1].split("\n\n", 1)[0]
-    keys = [row.split("`")[1] for row in table.splitlines()[1:]]
-    assert len(keys) == len(set(keys)) == 14
-    assert set(keys) == cli.CONFIG_KEYS
+    return readme.split(heading, 1)[1].split("\n\n", 1)[0]
+
+
+def value_text(value: cli.Value) -> str:
+    """How the README's key table states ``value``."""
+    kind, low, high = value
+    if kind == "text":
+        return "text"
+    if kind == "widths":
+        return f"comma-separated integers >= {low}"
+    bounds = f">= {low}" + ("" if high is None else f", <= {high}")
+    return f"{'integer' if kind == 'int' else 'finite number'} {bounds}"
+
+
+def test_readme_key_table_is_the_accepted_key_set():
+    rows = readme_section("| key | value | meaning |\n").splitlines()[1:]
+    cells = [[c.strip() for c in row.strip("|").split("|")] for row in rows]
+    table = {key.strip("`"): value for key, value, _ in cells}
+    assert len(table) == len(rows) == 14
+    assert table == {key: value_text(value) for key, value in cli.SCHEMA.items()}
+
+
+def test_readme_example_config_parses_to_its_values(tmp_path):
+    path = tmp_path / "bars.cfg"
+    path.write_text(readme_section("Example training config:\n\n```\n").split("```")[0])
+    written = {
+        "conv.kernels": 6, "conv.size": 3, "conv.stride": 1, "conv.pad": 0,
+        "pool.window": 2, "pool.stride": 2, "dense.widths": (32, 2),
+        "train.alpha": 0.05, "train.epochs": 150, "train.batch_size": 200,
+        "train.seed": 42, "data.source": "bars:200,8,8",
+        "out.model": "bars.cnnf", "out.csv": "bars.csv",
+    }
+    cfg = cli.RunConfig.from_file(str(path))
+    assert cfg == written
+    assert {k: type(v) for k, v in cfg.items()} == {k: type(v) for k, v in written.items()}
 
 
 class TestUsage:

@@ -103,7 +103,8 @@ def reference_load_pgm(blob: bytes) -> np.ndarray:
     need = width * height
     if len(blob) - pos < need:
         raise TruncationError(
-            f"PGM payload holds {len(blob) - pos} bytes, header claims {need}"
+            f"file truncated in section 'PGM pixels' "
+            f"(need {need} bytes at offset {pos}, have {len(blob) - pos})"
         )
     flat = np.frombuffer(blob, dtype=np.uint8, offset=pos, count=need)
     if maxval != 255:
@@ -479,7 +480,16 @@ class TestPgm:
         with pytest.raises(TruncationError) as e:
             load_pgm(io.BytesIO(header + pixels[:-3]))
         assert str(e.value) == ("file truncated in section 'PGM pixels' "
-                                "(need 15 bytes at offset 16, have 12)")
+                                "(need 20 bytes at offset 11, have 17)")
+
+    @pytest.mark.parametrize("w,h", [(100, 10), (3000, 1000)], ids=["in-prefix", "past-prefix"])
+    def test_cut_pixels_name_their_section_wherever_the_file_ends(self, w, h):
+        # the 3000x1000 pixels run past the 2 MiB header prefix, the 100x10 do not
+        header = b"P5 %d %d 255\n" % (w, h)
+        with pytest.raises(TruncationError) as e:
+            load_pgm(io.BytesIO(header + bytes(w * h - 5)))
+        assert str(e.value) == (f"file truncated in section 'PGM pixels' (need {w * h} bytes "
+                                f"at offset {len(header)}, have {w * h - 5})")
 
     @pytest.mark.parametrize("blob", [
         b"P5 # a comment that runs past the prefix\n2 2 255\n" + bytes(4),

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from convkit import network as nm
 from convkit.activations import ActivationKind
-from convkit.cli import RunConfig, main
+from convkit.cli import SCHEMA, RunConfig, main
 from convkit.dataio import dataset_from_idx, load_idx_images, load_idx_labels, load_pgm
 from convkit.errors import ConfigError, ConvkitError, GeometryError
 from convkit.layers import ConvGeometry, DenseLayer, KernelBank, PoolGeometry
@@ -262,10 +262,7 @@ def test_load_pgm_matches_the_byte_scanner(header, payload):
 
 # --- RunConfig and the train/gradcheck commands ---------------------------
 
-CONFIG_KEYS = ["conv.kernels", "conv.size", "conv.stride", "conv.pad", "pool.window",
-               "pool.stride", "dense.widths", "train.alpha", "train.epochs",
-               "train.batch_size", "train.seed", "data.source"]
-config_keys = st.sampled_from(CONFIG_KEYS) | st.text(max_size=8)
+config_keys = st.sampled_from(list(SCHEMA)) | st.text(max_size=8)
 config_values = st.one_of(
     st.integers(-2**70, 2**70).map(str),
     st.floats().map(str),
@@ -297,13 +294,16 @@ def test_run_config_raises_only_config_errors(config_path, text):
         cfg = RunConfig.from_file(str(config_path))
     except ConfigError:
         return
-    for key in [*CONFIG_KEYS, *cfg.pairs]:
-        for read in (cfg.require, cfg.intval, cfg.floatval, cfg.widths,
-                     lambda k: cfg.intval(k, 1, 2**64 - 1)):
-            try:
-                read(key)
-            except ConfigError:
-                pass
+    for key, (kind, low, high) in SCHEMA.items():
+        try:
+            value = cfg[key]
+        except ConfigError:
+            continue
+        # an accepted value is of its declared kind and within its bounds
+        assert type(value) is {"int": int, "float": float, "widths": tuple, "text": str}[kind]
+        if kind != "text":
+            for v in value if kind == "widths" else (value,):
+                assert (low is None or v >= low) and (high is None or v <= high)
 
 
 def widths(ws):
@@ -333,8 +333,8 @@ SMALL_VALUES = {
                     st.tuples(ints(0, 16), ints(0, 9), ints(0, 9)).map(bars)),
 }
 # the key drawn from its wider range, and the key left out
-CHANGES = st.tuples(st.none() | st.sampled_from(CONFIG_KEYS),
-                    st.none() | st.none() | st.sampled_from(CONFIG_KEYS))
+CHANGES = st.tuples(st.none() | st.sampled_from(list(SMALL_VALUES)),
+                    st.none() | st.none() | st.sampled_from(list(SMALL_VALUES)))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
